@@ -37,7 +37,12 @@ from .transform import (
     WorldFileError,
     parse_world_file,
 )
-from .verify import boundary_edges, rasterize_even_odd, unit_edges
+from .verify import (
+    assemble_polygons_bruteforce,
+    boundary_edges,
+    rasterize_even_odd,
+    unit_edges,
+)
 from .writers import write_geojson, write_timing_csv, write_wkt
 
 __version__ = "0.1.0"
@@ -62,6 +67,7 @@ __all__ = [
     "WorldFileError",
     "WorldRing",
     "assemble_polygons",
+    "assemble_polygons_bruteforce",
     "bernoulli",
     "boundary_edges",
     "check_shape",

@@ -210,6 +210,12 @@ def _parse_pbm_ascii(data: bytes) -> BitRaster:
         raise MaskHeaderError(f"expected P1 magic, got {tokens[0]!r}")
     w, h = _parse_pbm_dims(tokens)
     need = w * h
+    # Every pixel takes at least one byte, so a header that promises more
+    # pixels than there are payload bytes is rejected before allocating.
+    if len(data) - offset < need:
+        raise MaskTruncatedError(
+            f"payload has {len(data) - offset} bytes, too few for {w}x{h} pixels"
+        )
     values = np.empty(need, dtype=bool)
     got = 0
     for i in range(offset, len(data)):
@@ -249,7 +255,7 @@ def _parse_pbm_binary(data: bytes) -> BitRaster:
 
 def _parse_ascii_grid(data: bytes) -> BitRaster:
     text = data.decode("latin-1")
-    lines = text.split("\n")
+    lines = [line[:-1] if line.endswith("\r") else line for line in text.split("\n")]
     while lines and lines[-1] == "":
         lines.pop()
     if not lines:

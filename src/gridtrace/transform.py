@@ -13,6 +13,7 @@ CORNER, which is what boundary tracing emits.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 __all__ = [
@@ -25,7 +26,7 @@ __all__ = [
 
 
 class WorldFileError(ValueError):
-    """World file does not have six numeric lines."""
+    """World file does not have six finite numeric lines."""
 
 
 class DegenerateTransformError(ValueError):
@@ -63,16 +64,27 @@ def parse_world_file(text: str) -> AffineTransform:
     A/B/D/E are the linear terms; C/F locate the center of pixel (0, 0), so
     the returned translation is c = C - (A+B)/2, f = F - (D+E)/2.
 
-    Raises WorldFileError for a wrong line count or non-numeric line, and
-    DegenerateTransformError when the linear part has zero determinant.
+    Raises WorldFileError for a wrong line count or a non-numeric or
+    non-finite line, and DegenerateTransformError when the linear part has
+    zero determinant.
     """
-    lines = [line.strip() for line in text.splitlines() if line.strip()]
+    lines = [
+        (number, line.strip())
+        for number, line in enumerate(text.splitlines(), start=1)
+        if line.strip()
+    ]
     if len(lines) != 6:
         raise WorldFileError(f"expected 6 lines, got {len(lines)}")
-    try:
-        a_, d_, b_, e_, c_, f_ = (float(line) for line in lines)
-    except ValueError:
-        raise WorldFileError("world file lines must be numeric") from None
+    values = []
+    for number, line in lines:
+        try:
+            value = float(line)
+        except ValueError:
+            raise WorldFileError(f"line {number} is not numeric: {line!r}") from None
+        if not math.isfinite(value):
+            raise WorldFileError(f"line {number} is not a finite number: {line!r}")
+        values.append(value)
+    a_, d_, b_, e_, c_, f_ = values
     tr = AffineTransform(
         a=a_,
         b=b_,

@@ -1,9 +1,10 @@
 """Brute-force oracles for certifying traced rings against the source mask.
 
-These deliberately share no logic with the scan in `trace`: boundary edges
-are enumerated straight off the pixel grid, and rasterization casts rays
-against ring segments. Both are meant for tests and verification runs, not
-for speed.
+These deliberately share no logic with the fast paths in `trace` and
+`rings`: boundary edges are enumerated straight off the pixel grid,
+rasterization casts rays against ring segments, and hole assembly
+ray-casts every hole against every exterior. All are meant for tests and
+verification runs, not for speed.
 """
 
 from __future__ import annotations
@@ -11,8 +12,14 @@ from __future__ import annotations
 import numpy as np
 
 from .raster import BitRaster
+from .rings import Polygon, TopologyError
 
-__all__ = ["boundary_edges", "rasterize_even_odd", "unit_edges"]
+__all__ = [
+    "assemble_polygons_bruteforce",
+    "boundary_edges",
+    "rasterize_even_odd",
+    "unit_edges",
+]
 
 # An undirected unit segment on the corner grid, endpoints in lexicographic order.
 Edge = tuple[tuple[int, int], tuple[int, int]]
@@ -82,3 +89,78 @@ def rasterize_even_odd(grid_rings, width: int, height: int) -> BitRaster:
     right_counts = crossings[:, ::-1].cumsum(axis=1)[:, ::-1]
     bits = (right_counts[:, 1:] % 2).astype(bool)
     return BitRaster(width, height, bits)
+
+
+def assemble_polygons_bruteforce(grid_rings) -> list[Polygon]:
+    """Reference for `rings.assemble_polygons`, by containment search.
+
+    Negative-area rings are exteriors; each positive-area ring attaches as
+    a hole of the smallest exterior that strictly contains it. Containment
+    is tested at a point nudged a quarter pixel inside the hole off the
+    midpoint of its first edge, which keeps the test point clear of every
+    boundary. O(holes x exteriors). Raises TopologyError like the fast
+    path: for the lowest-index zero-area ring, then for the lowest-index
+    hole no exterior contains.
+    """
+    rings = [np.asarray(r) for r in grid_rings]
+    areas = [_shoelace(r) for r in rings]
+    outer_ids = []
+    hole_ids = []
+    for i, a in enumerate(areas):
+        if a < 0:
+            outer_ids.append(i)
+        elif a > 0:
+            hole_ids.append(i)
+        else:
+            raise TopologyError(f"ring {i} has zero area", ring_index=i)
+
+    bboxes = {o: (rings[o].min(axis=0), rings[o].max(axis=0)) for o in outer_ids}
+    holes_of: dict[int, list[int]] = {o: [] for o in outer_ids}
+    for hid in hole_ids:
+        px, py = _hole_interior_point(rings[hid])
+        best = -1
+        best_area = None
+        for o in outer_ids:
+            (x0, y0), (x1, y1) = bboxes[o]
+            if not (x0 < px < x1 and y0 < py < y1):
+                continue
+            if _point_in_ring(px, py, rings[o]):
+                size = -areas[o]
+                if best_area is None or size < best_area:
+                    best, best_area = o, size
+        if best < 0:
+            start = tuple(rings[hid][0])
+            raise TopologyError(
+                f"hole ring {hid} at {start} is inside no exterior ring", ring_index=hid
+            )
+        holes_of[best].append(hid)
+    return [Polygon(o, holes_of[o]) for o in outer_ids]
+
+
+def _shoelace(ring: np.ndarray) -> float:
+    if len(ring) < 2:
+        return 0.0
+    x, y = ring[:, 0], ring[:, 1]
+    return float((x[:-1] * y[1:] - x[1:] * y[:-1]).sum()) / 2
+
+
+def _hole_interior_point(ring: np.ndarray) -> tuple[float, float]:
+    # Quarter-pixel inward normal off the first edge midpoint. For a
+    # positive-area ring (y-down) the interior lies to the right of travel.
+    x0, y0 = ring[0]
+    x1, y1 = ring[1]
+    dx, dy = x1 - x0, y1 - y0
+    length = abs(dx) + abs(dy)
+    mx, my = (x0 + x1) / 2, (y0 + y1) / 2
+    return float(mx - 0.25 * dy / length), float(my + 0.25 * dx / length)
+
+
+def _point_in_ring(px: float, py: float, ring: np.ndarray) -> bool:
+    # Even-odd ray cast along +x; py off the integer lattice avoids vertex grazing.
+    x0, y0 = ring[:-1, 0], ring[:-1, 1]
+    x1, y1 = ring[1:, 0], ring[1:, 1]
+    vertical = (x0 == x1) & (x0 > px)
+    lo = np.minimum(y0, y1)
+    hi = np.maximum(y0, y1)
+    crossings = int((vertical & (lo < py) & (py < hi)).sum())
+    return crossings % 2 == 1

@@ -35,7 +35,8 @@ def write_geojson(
     feature per exterior, outer ring first and holes after it. mode="rings"
     emits one LineString feature per ring. Positions are [longitude,
     latitude]. `crs` attaches a named CRS as a foreign member; coordinates
-    are WGS84 lon/lat by convention otherwise.
+    are WGS84 lon/lat by convention otherwise. Non-finite positions raise
+    ValueError, since JSON has no NaN or Infinity.
     """
     _check_closed(world_rings)
     if mode == "polygons":
@@ -56,7 +57,7 @@ def write_geojson(
     collection: dict = {"type": "FeatureCollection", "features": features}
     if crs is not None:
         collection["crs"] = crs
-    return json.dumps(collection)
+    return json.dumps(collection, allow_nan=False)
 
 
 def _feature(geom_type: str, coordinates) -> dict:

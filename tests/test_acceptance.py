@@ -16,6 +16,7 @@ import pytest
 from conftest import raster_from_int, ring_validity_errors
 from gridtrace import (
     BitRaster,
+    assemble_polygons,
     bernoulli,
     boundary_edges,
     detect,
@@ -198,4 +199,25 @@ def test_ring_formation_is_output_sensitive():
         t_dense > t_sparse,
         f"{t_dense * 1000:.0f}ms vs {t_sparse * 1000:.0f}ms "
         f"({dense.vertex_count} vs {sparse.vertex_count} vertices)",
+    )
+
+
+def test_assembly_scales_near_linearly():
+    def best_assembly_time(size):
+        grid, _ = form_rings(detect(bernoulli(size, size, 0.5, 4242)))
+        times = []
+        for _ in range(3):
+            t0 = time.perf_counter()
+            assemble_polygons(grid)
+            times.append(time.perf_counter() - t0)
+        return min(times)
+
+    t_small = best_assembly_time(500)
+    t_large = best_assembly_time(1000)
+    ratio = t_large / t_small
+    # 4x the pixels: ~4x for the scanline, 16x for a pairwise containment search.
+    report(
+        "polygon assembly scaling 500^2 -> 1000^2 at p=0.5 at most 8x",
+        ratio <= 8,
+        f"ratio {ratio:.1f}, {t_small * 1000:.0f}ms -> {t_large * 1000:.0f}ms",
     )

@@ -104,6 +104,23 @@ class TestDelineate:
         world.write_text("1\n0\n0\n")
         assert cli.main(["delineate", "--input", mask, "--world", str(world)]) == 1
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "1e400"])
+    def test_non_finite_world_file_exits_one(self, tmp_path, capsys, value):
+        mask = write_mask_file(tmp_path, SINGLE_PIXEL_PBM)
+        world = tmp_path / "mask.wld"
+        world.write_text(f"1\n0\n0\n-1\n{value}\n49.5\n")
+        assert cli.main(["delineate", "--input", mask, "--world", str(world)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"gridtrace: error: line 5 is not a finite number: '{value}'\n"
+
+    def test_huge_p1_header_exits_one_without_traceback(self, tmp_path, capsys):
+        path = write_mask_file(tmp_path, b"P1\n100000 100000\n10\n")
+        assert cli.main(["delineate", "--input", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("gridtrace: error: ")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_no_assemble_emits_raw_shells(self, tmp_path, capsys):
         path = write_mask_file(tmp_path, b"P1\n3 3\n111101111")
         assert cli.main(["delineate", "--input", path, "--no-assemble",

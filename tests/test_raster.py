@@ -119,6 +119,14 @@ class TestPbmAscii:
         with pytest.raises(MaskError):
             parse_mask(b"P1\n2 1\n1 x", "pbm-ascii")
 
+    def test_header_larger_than_payload_is_rejected_before_allocating(self):
+        # 10**10 pixels declared in a 20-byte file: one byte per pixel is
+        # the least the payload can take, so this fails on length alone.
+        data = b"P1\n100000 100000\n10\n"
+        assert len(data) == 20
+        with pytest.raises(MaskTruncatedError, match="too few for 100000x100000"):
+            parse_mask(data, "pbm-ascii")
+
 
 class TestPbmBinary:
     def test_basic_padded_rows(self):
@@ -160,6 +168,16 @@ class TestAsciiGrid:
     def test_invalid_character(self):
         with pytest.raises(MaskError):
             parse_mask(b"10\n0x\n", "ascii-grid")
+
+    def test_crlf_line_ends_parse_like_lf(self):
+        raster = bernoulli(7, 5, 0.5, 3)
+        lf = write_mask(raster, "ascii-grid")
+        crlf = lf.replace(b"\n", b"\r\n")
+        assert parse_mask(crlf, "ascii-grid") == parse_mask(lf, "ascii-grid") == raster
+
+    def test_only_one_carriage_return_is_stripped(self):
+        with pytest.raises(MaskError, match="invalid characters"):
+            parse_mask(b"10\r\r\n01\r\n", "ascii-grid")
 
 
 def test_unknown_format_rejected():

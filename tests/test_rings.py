@@ -1,6 +1,7 @@
+import numpy as np
 import pytest
 
-from conftest import ring_validity_errors
+from conftest import raster_from_int, ring_validity_errors
 from gridtrace import (
     AffineTransform,
     BitRaster,
@@ -15,6 +16,7 @@ from gridtrace import (
     form_rings,
     signed_area,
 )
+from gridtrace.verify import assemble_polygons_bruteforce
 
 
 def rings_of(rows, **kwargs):
@@ -182,6 +184,80 @@ class TestAssemblePolygons:
         flat = [(0, 0), (0, 1), (0, 0)]
         with pytest.raises(TopologyError):
             assemble_polygons([flat])
+
+
+def assembly_outcome(assemble, grid_rings):
+    """The polygons, or the failing ring's index and error text."""
+    try:
+        return assemble(grid_rings)
+    except TopologyError as err:
+        return ("TopologyError", err.ring_index, str(err))
+
+
+SQUARE_10 = [(0, 0), (0, 10), (10, 10), (10, 0), (0, 0)]
+SQUARE_6_AT_2 = [(2, 2), (2, 8), (8, 8), (8, 2), (2, 2)]
+HOLE_2_AT_4 = [(4, 4), (6, 4), (6, 6), (4, 6), (4, 4)]
+HOLE_1_AT_0 = [(0, 0), (1, 0), (1, 1), (0, 1), (0, 0)]
+HOLE_1_AT_2 = [(2, 0), (3, 0), (3, 1), (2, 1), (2, 0)]
+PIXEL_AT_0 = [(0, 0), (0, 1), (1, 1), (1, 0), (0, 0)]
+FLAT = [(0, 0), (0, 1), (0, 0)]
+
+
+class TestAssembleMatchesBruteforce:
+    """The scanline assembler against the containment-search oracle."""
+
+    def test_every_mask_up_to_4x4(self):
+        mismatches = []
+        for w in range(1, 5):
+            for h in range(1, 5):
+                for mask in range(2 ** (w * h)):
+                    grid, _ = form_rings(detect(raster_from_int(w, h, mask)))
+                    if assemble_polygons(grid) != assemble_polygons_bruteforce(grid):
+                        mismatches.append((w, h, mask))
+        assert mismatches == []
+
+    def test_random_masks_up_to_64x64(self):
+        rng = np.random.Generator(np.random.PCG64(20261018))
+        mismatches = []
+        for i in range(320):
+            p = 0.1 + 0.8 * (i % 17) / 16
+            w, h = (64, 64) if i < 17 else (int(v) for v in rng.integers(1, 65, 2))
+            grid, _ = form_rings(detect(bernoulli(w, h, p, 2_000_000 + i)))
+            if assemble_polygons(grid) != assemble_polygons_bruteforce(grid):
+                mismatches.append((w, h, p, i))
+        assert mismatches == []
+
+    @pytest.mark.parametrize(
+        "rings",
+        [
+            pytest.param([SQUARE_10, SQUARE_6_AT_2, HOLE_2_AT_4], id="nested-exteriors"),
+            pytest.param([HOLE_2_AT_4, SQUARE_6_AT_2, SQUARE_10], id="nested-reversed"),
+            pytest.param([HOLE_1_AT_0], id="orphan"),
+            pytest.param([PIXEL_AT_0, HOLE_1_AT_2], id="orphan-right-of-exterior"),
+            pytest.param([HOLE_1_AT_2, HOLE_1_AT_0], id="two-orphans"),
+            pytest.param([PIXEL_AT_0, FLAT, FLAT], id="zero-area"),
+            pytest.param([FLAT, HOLE_1_AT_0], id="zero-area-before-orphan"),
+            pytest.param([], id="empty"),
+        ],
+    )
+    def test_hand_built_rings(self, rings):
+        assert assembly_outcome(assemble_polygons, rings) == assembly_outcome(
+            assemble_polygons_bruteforce, rings
+        )
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            ["11111", "10001", "10101", "10001", "11111"],
+            ["1111111", "1000001", "1011101", "1010101", "1011101", "1000001", "1111111"],
+            ["111111", "100101", "111111"],
+            ["1111", "1001", "1011", "1111"],
+        ],
+        ids=["island-in-lake", "lake-island-lake", "two-lakes", "lake-touching-corner"],
+    )
+    def test_traced_nesting(self, rows):
+        grid, _ = rings_of(rows)
+        assert assemble_polygons(grid) == assemble_polygons_bruteforce(grid)
 
 
 @pytest.mark.parametrize("seed,p", [(0, 0.5), (1, 0.2), (2, 0.8), (3, 0.5)])

@@ -61,10 +61,22 @@ def test_parse_world_file_wrong_line_count(text):
 
 
 def test_parse_world_file_non_numeric():
-    with pytest.raises(WorldFileError):
+    with pytest.raises(WorldFileError, match="line 3 is not numeric: 'x'"):
         parse_world_file("1\n0\nx\n-1\n0.5\n-0.5")
 
 
 def test_parse_world_file_degenerate():
     with pytest.raises(DegenerateTransformError):
         parse_world_file("0\n0\n0\n0\n1\n1")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+def test_parse_world_file_non_finite(value):
+    with pytest.raises(WorldFileError, match=f"line 5 is not a finite number: '{value}'"):
+        parse_world_file(f"1\n0\n0\n-1\n{value}\n-0.5")
+
+
+def test_parse_world_file_non_finite_names_the_file_line():
+    # Blank lines are skipped but still counted.
+    with pytest.raises(WorldFileError, match="line 3 "):
+        parse_world_file("1\n\nNaN\n0\n-1\n0.5\n-0.5")

@@ -64,6 +64,11 @@ class TestGeojson:
         with pytest.raises(ValueError, match="closed"):
             write_geojson([[(0.0, 0.0), (0.0, 1.0)]], mode="rings")
 
+    def test_non_finite_positions_rejected(self):
+        ring = [(0.0, 0.0), (float("inf"), 1.0), (0.0, 1.0), (0.0, 0.0)]
+        with pytest.raises(ValueError, match="JSON compliant"):
+            write_geojson([ring], mode="rings")
+
     def test_polygons_mode_needs_grouping(self):
         with pytest.raises(ValueError):
             write_geojson([], mode="polygons")
