@@ -25,7 +25,6 @@ from .rings import (
     TopologyError,
     WorldRing,
     assemble_polygons,
-    collapse_ring,
     form_rings,
     signed_area,
 )
@@ -72,7 +71,6 @@ __all__ = [
     "boundary_edges",
     "check_shape",
     "classify_window",
-    "collapse_ring",
     "detect",
     "form_rings",
     "parse_mask",

@@ -1,8 +1,10 @@
 """Command-line front end: generate masks, delineate them, run benchmarks.
 
 Payload output goes to stdout (or --output); diagnostics go to stderr.
-Exit codes: 0 success, 1 unreadable or malformed input, 2 topology errors
-(and argparse usage errors).
+Exit codes: 0 success, 1 unreadable or malformed input (or output that
+cannot be written, such as non-finite positions), 2 topology errors (and
+argparse usage errors), 3 internal errors: vertex wiring or a ring walk
+that came out inconsistent.
 """
 
 from __future__ import annotations
@@ -13,8 +15,8 @@ from pathlib import Path
 
 from .bench import check_shape, run_experiment
 from .raster import MaskError, bernoulli, parse_mask, sniff_mask_format, write_mask
-from .rings import Polygon, TopologyError, assemble_polygons, form_rings
-from .trace import detect
+from .rings import Polygon, RingTraversalError, TopologyError, assemble_polygons, form_rings
+from .trace import TraceError, detect
 from .transform import IDENTITY, DegenerateTransformError, WorldFileError, parse_world_file
 from .writers import write_geojson, write_timing_csv, write_wkt
 
@@ -64,11 +66,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=True,
         help="group rings into polygons with holes (default on)",
     )
-    p_del.add_argument(
-        "--collapse-collinear",
-        action="store_true",
-        help="merge collinear ring steps into single segments",
-    )
     p_del.add_argument("--crs", help="attach a named CRS to GeoJSON output")
     p_del.add_argument("--output", default="-", help="output path, '-' for stdout")
     p_del.set_defaults(func=cmd_delineate)
@@ -108,6 +105,9 @@ def main(argv: list[str] | None = None) -> int:
     except (MaskError, WorldFileError, DegenerateTransformError, OSError, ValueError) as exc:
         print(f"gridtrace: error: {exc}", file=sys.stderr)
         return 1
+    except (TraceError, RingTraversalError) as exc:
+        print(f"gridtrace: internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 def _emit_text(text: str, output: str) -> None:
@@ -123,9 +123,7 @@ def cmd_delineate(args) -> int:
     data = Path(args.input).read_bytes()
     raster = parse_mask(data, sniff_mask_format(data))
     transform = parse_world_file(Path(args.world).read_text()) if args.world else IDENTITY
-    grid_rings, world_rings = form_rings(
-        detect(raster), transform, collapse_collinear=args.collapse_collinear
-    )
+    grid_rings, world_rings = form_rings(detect(raster), transform)
     if args.format == "rings-geojson":
         out = write_geojson(world_rings, mode="rings", crs=args.crs)
     else:

@@ -38,7 +38,6 @@ __all__ = [
     "TopologyError",
     "WorldRing",
     "assemble_polygons",
-    "collapse_ring",
     "form_rings",
     "signed_area",
 ]
@@ -70,14 +69,13 @@ class Polygon:
 def form_rings(
     delineation: Delineation,
     transform: AffineTransform = IDENTITY,
-    collapse_collinear: bool = False,
 ) -> tuple[list[GridRing], list[WorldRing]]:
     """Convert circular vertex lists into closed rings, grid and world forms.
 
     Rings come out in entry-corner (scan) order, each closed by repeating
-    its first coordinate. Coordinates are kept vertex-for-vertex unless
-    collapse_collinear is set, which merges runs of collinear steps without
-    changing the traced geometry.
+    its first coordinate, vertex for vertex. Every step turns: traced rings
+    have no straight runs. World positions that overflow come out as
+    non-finite floats, without a warning; the writers refuse them.
 
     Raises RingTraversalError if a walk fails to close within vertex_count
     steps or some vertex is unreachable from every entry corner.
@@ -121,13 +119,14 @@ def form_rings(
     gx = np.asarray(delineation.xs, dtype=np.int64)[closed]
     gy = np.asarray(delineation.ys, dtype=np.int64)[closed]
     grid_coords = np.stack([gx, gy], axis=1)
-    world_coords = np.stack(
-        [
-            transform.a * gx + transform.b * gy + transform.c,
-            transform.d * gx + transform.e * gy + transform.f,
-        ],
-        axis=1,
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        world_coords = np.stack(
+            [
+                transform.a * gx + transform.b * gy + transform.c,
+                transform.d * gx + transform.e * gy + transform.f,
+            ],
+            axis=1,
+        )
     grid_coords.setflags(write=False)
     world_coords.setflags(write=False)
 
@@ -136,38 +135,9 @@ def form_rings(
     world_rings: list[WorldRing] = []
     for k in range(ring_count):
         start, end = offsets[k], offsets[k + 1]
-        ring = grid_coords[start:end]
-        wring = world_coords[start:end]
-        if collapse_collinear:
-            ring = collapse_ring(ring)
-            lon = transform.a * ring[:, 0] + transform.b * ring[:, 1] + transform.c
-            lat = transform.d * ring[:, 0] + transform.e * ring[:, 1] + transform.f
-            wring = np.stack([lon, lat], axis=1)
-        grid_rings.append(ring)
-        world_rings.append(wring)
+        grid_rings.append(grid_coords[start:end])
+        world_rings.append(world_coords[start:end])
     return grid_rings, world_rings
-
-
-def collapse_ring(coords) -> GridRing:
-    """Drop interior points of straight runs from a closed ring.
-
-    Geometry-preserving; the ring stays closed and keeps its start point.
-    Rings straight out of `form_rings` have no straight runs, so this only
-    changes rings that were modified or built by hand.
-    """
-    ring = np.asarray(coords)
-    if len(ring) <= 2:
-        return ring.copy()
-    pts = ring[:-1]
-    before = np.roll(pts, 1, axis=0)
-    after = np.roll(pts, -1, axis=0)
-    straight = ((before[:, 0] == pts[:, 0]) & (pts[:, 0] == after[:, 0])) | (
-        (before[:, 1] == pts[:, 1]) & (pts[:, 1] == after[:, 1])
-    )
-    kept = pts[~straight]
-    if len(kept) == 0:
-        return ring[[0, 0]]
-    return np.vstack([kept, kept[:1]])
 
 
 def signed_area(ring) -> float:

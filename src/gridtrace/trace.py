@@ -1,9 +1,9 @@
-"""Single-pass detection of orthogonal boundary vertices on a binary raster.
+"""Detection of orthogonal boundary vertices on a binary raster.
 
-The scan slides a 2x2 pixel window over every corner position (x, y) with
-0 <= x <= width and 0 <= y <= height, rows top to bottom, left to right
-within a row. Each window is classified by a 4-bit code built from its four
-pixels (out-of-bounds pixels read as unmarked):
+A 2x2 pixel window sits on every corner position (x, y) with
+0 <= x <= width and 0 <= y <= height; scan order is rows top to bottom,
+left to right within a row. Each window is classified by a 4-bit code built
+from its four pixels (out-of-bounds pixels read as unmarked):
 
     bit 1: pixel (x-1, y-1)    bit 2: pixel (x,   y-1)
     bit 4: pixel (x-1, y  )    bit 8: pixel (x,   y  )
@@ -14,15 +14,17 @@ and produce nothing; codes 6 and 9 are diagonal touches and produce two
 coinciding vertices so touching regions stay separate, non-overlapping
 rings; every other code produces one vertex.
 
-Vertices are wired into circular linked lists as they are found. An edge
-whose far endpoint has not been scanned yet leaves an "open" vertex behind:
-at most one to the left on the current row (the pending horizontal edge)
-and at most one per corner column (pending vertical edges). When the far
-endpoint appears, the open vertex's next link is resolved. Top-left corner
-vertices (codes 7, 8, 9) are also recorded as ring entry points; code 7 is
-kept because interior holes begin there.
+Vertices are wired into circular linked lists by two pairings. Along each
+corner row the vertices pair off left to right into horizontal edges, and
+down each corner column they pair off top to bottom into vertical edges.
+Which way an edge runs depends only on which side of it is marked: bit 8 of
+a horizontal edge's left end, bit 2 of a vertical edge's lower end. Of the
+two copies at a code-6 corner, the second closes the edge from the left, so
+the row pairing takes the copies in swapped order. Top-left corner vertices
+(codes 7, 8 and the second copy of 9) are recorded as ring entry points;
+code 7 is kept because interior holes begin there.
 
-Vertices live in a flat arena; links are arena indices, -1 meaning unset.
+Vertices live in a flat arena in scan order; links are arena indices.
 """
 
 from __future__ import annotations
@@ -35,15 +37,9 @@ from .raster import BitRaster
 
 __all__ = ["Delineation", "TraceError", "classify_window", "detect", "window_types"]
 
-# Window codes that yield one vertex, keyed by what they do to the open
-# slots; 6 and 9 yield two coinciding vertices.
-_VERTEX_CODES = frozenset({1, 2, 4, 6, 7, 8, 9, 11, 13, 14})
-
+# Window codes that yield a vertex; 6 and 9 yield two coinciding vertices.
 _ACTIONABLE = np.zeros(16, dtype=bool)
-_ACTIONABLE[list(_VERTEX_CODES)] = True
-
-# Corner rows per scan block; bounds transient index-array memory on big rasters.
-_BLOCK_CORNERS = 2_000_000
+_ACTIONABLE[[1, 2, 4, 6, 7, 8, 9, 11, 13, 14]] = True
 
 
 class TraceError(RuntimeError):
@@ -102,151 +98,48 @@ def window_types(raster: BitRaster) -> np.ndarray:
 def detect(raster: BitRaster) -> Delineation:
     """Find all boundary vertices and wire them into circular linked lists.
 
-    Runs in one pass over the corner grid. Any attempt to pair an edge
-    endpoint with an open slot that is empty, or a dangling link left at the
-    end of the scan, raises TraceError rather than returning partial
-    geometry.
+    Vertices that do not pair off along rows and columns, or links that
+    leave a vertex without a successor or with two predecessors, raise
+    TraceError rather than returning partial geometry.
     """
-    w, h = raster.width, raster.height
-    codes = window_types(raster)
-    corner_cols = w + 1
+    codes = window_types(raster).ravel()
+    hits = np.flatnonzero(_ACTIONABLE[codes])
+    diagonal = (codes[hits] == 6) | (codes[hits] == 9)
+    at = np.repeat(hits, 1 + diagonal)
+    code = codes[at]
+    del codes, hits, diagonal
+    second = np.zeros(len(at), dtype=bool)
+    second[1:] = at[1:] == at[:-1]
+    ys, xs = np.divmod(at, raster.width + 1)
+    del at
+    n = len(code)
+    if n % 2:
+        raise TraceError(f"{n} boundary vertices cannot pair off into edges")
 
-    xs: list[int] = []
-    ys: list[int] = []
-    nxt: list[int] = []
-    corners: list[int] = []
-    top: list[int] = [-1] * corner_cols
-    left = -1
-
-    block = max(1, _BLOCK_CORNERS // corner_cols)
-    for y_start in range(0, h + 1, block):
-        sub = codes[y_start : y_start + block].ravel()
-        hits = np.flatnonzero(_ACTIONABLE[sub])
-        if hits.size == 0:
-            continue
-        bt = sub[hits].tolist()
-        bx = (hits % corner_cols).tolist()
-        by = (hits // corner_cols + y_start).tolist()
-        for x, y, t in zip(bx, by, bt):
-            if t == 8 or t == 7:
-                # top-left corner: both edges still open, remember as entry
-                v = len(xs)
-                xs.append(x)
-                ys.append(y)
-                nxt.append(-1)
-                top[x] = v
-                left = v
-                corners.append(v)
-            elif t == 1:
-                # bottom-right corner: closes the left and top open edges
-                tv = top[x]
-                if tv < 0 or left < 0:
-                    raise TraceError(f"code 1 at ({x},{y}) with no open vertex to pair")
-                v = len(xs)
-                xs.append(x)
-                ys.append(y)
-                nxt.append(tv)
-                nxt[left] = v
-                top[x] = -1
-                left = -1
-            elif t == 2:
-                # closes the top edge, opens a horizontal edge to the right
-                tv = top[x]
-                if tv < 0:
-                    raise TraceError(f"code 2 at ({x},{y}) with no open top vertex")
-                v = len(xs)
-                xs.append(x)
-                ys.append(y)
-                nxt.append(-1)
-                nxt[tv] = v
-                top[x] = -1
-                left = v
-            elif t == 4:
-                # closes the left edge, opens a vertical edge downward
-                if left < 0:
-                    raise TraceError(f"code 4 at ({x},{y}) with no open left vertex")
-                v = len(xs)
-                xs.append(x)
-                ys.append(y)
-                nxt.append(left)
-                left = -1
-                top[x] = v
-            elif t == 13:
-                tv = top[x]
-                if tv < 0:
-                    raise TraceError(f"code 13 at ({x},{y}) with no open top vertex")
-                v = len(xs)
-                xs.append(x)
-                ys.append(y)
-                nxt.append(tv)
-                top[x] = -1
-                left = v
-            elif t == 11:
-                if left < 0:
-                    raise TraceError(f"code 11 at ({x},{y}) with no open left vertex")
-                v = len(xs)
-                xs.append(x)
-                ys.append(y)
-                nxt.append(-1)
-                nxt[left] = v
-                left = -1
-                top[x] = v
-            elif t == 14:
-                tv = top[x]
-                if tv < 0 or left < 0:
-                    raise TraceError(f"code 14 at ({x},{y}) with no open vertex to pair")
-                v = len(xs)
-                xs.append(x)
-                ys.append(y)
-                nxt.append(left)
-                nxt[tv] = v
-                top[x] = -1
-                left = -1
-            elif t == 6:
-                # diagonal touch: one vertex acts like code 2, the other like 4
-                tv = top[x]
-                if tv < 0 or left < 0:
-                    raise TraceError(f"code 6 at ({x},{y}) with no open vertex to pair")
-                v1 = len(xs)
-                xs.append(x)
-                ys.append(y)
-                nxt.append(-1)
-                nxt[tv] = v1
-                v2 = len(xs)
-                xs.append(x)
-                ys.append(y)
-                nxt.append(left)
-                top[x] = v2
-                left = v1
-            else:
-                # code 9, diagonal touch: one vertex closes like code 1, the
-                # other starts a new ring like code 8
-                tv = top[x]
-                if tv < 0 or left < 0:
-                    raise TraceError(f"code 9 at ({x},{y}) with no open vertex to pair")
-                v1 = len(xs)
-                xs.append(x)
-                ys.append(y)
-                nxt.append(tv)
-                nxt[left] = v1
-                v2 = len(xs)
-                xs.append(x)
-                ys.append(y)
-                nxt.append(-1)
-                top[x] = v2
-                left = v2
-                corners.append(v2)
-
-    if left != -1:
-        raise TraceError("scan finished with an unclosed horizontal edge")
-    for x, tv in enumerate(top):
-        if tv != -1:
-            raise TraceError(f"scan finished with an unclosed vertical edge in column {x}")
-    n = len(xs)
+    # Row pairs (a left of b) and column pairs (a above b); at a code-6
+    # corner the second copy closes the edge coming from the left.
+    rows = np.arange(n)
+    six = np.flatnonzero(second & (code == 6))
+    rows[six - 1], rows[six] = six, six - 1
+    # Stable sorts of 8- and 16-bit keys are radix sorts.
+    cols = np.argsort(xs.astype(np.min_scalar_type(raster.width)), kind="stable")
+    ha, hb, va, vb = rows[0::2], rows[1::2], cols[0::2], cols[1::2]
+    if (ys[ha] != ys[hb]).any() or (xs[va] != xs[vb]).any():
+        raise TraceError("boundary vertices do not pair off along rows and columns")
+    # A horizontal edge runs leftward when the pixels below it are marked
+    # (bit 8 of its left end); a vertical edge runs downward when the pixels
+    # right of it are marked (bit 2 of its lower end).
+    nxt = np.full(n, -1, dtype=np.intp)
+    for a, b, forward in ((ha, hb, (code[ha] & 8) == 0), (va, vb, (code[vb] & 2) != 0)):
+        nxt[np.where(forward, a, b)] = np.where(forward, b, a)
+    corners = np.flatnonzero((code == 7) | (code == 8) | (second & (code == 9)))
+    del code, second, rows, six, cols, ha, hb, va, vb
     if n:
-        links = np.asarray(nxt, dtype=np.int64)
-        if links.min() < 0:
-            raise TraceError("scan finished with an unlinked vertex")
-        if np.bincount(links, minlength=n).max() > 1:
+        if nxt.min() < 0:
+            raise TraceError("wiring left a vertex unlinked")
+        if np.bincount(nxt, minlength=n).max() > 1:
             raise TraceError("vertex linked more than once; lists are not disjoint cycles")
-    return Delineation(xs, ys, nxt, corners)
+    # One shared int object per coordinate value; ints above 256 are not
+    # cached, and allocating one per vertex costs time and memory.
+    values = np.arange(max(raster.width, raster.height) + 1).astype(object)
+    return Delineation(values[xs].tolist(), values[ys].tolist(), nxt.tolist(), corners.tolist())

@@ -73,12 +73,16 @@ def _positions(ring: WorldRing) -> list[list[float]]:
 
 
 def write_wkt(world_rings: list[WorldRing], polygons: list[Polygon]) -> str:
-    """Serialize polygons as WKT: POLYGON for one, MULTIPOLYGON otherwise."""
+    """Serialize polygons as WKT: POLYGON for one, MULTIPOLYGON otherwise.
+
+    Non-finite positions raise ValueError naming the ring, since WKT has no
+    NaN or Infinity.
+    """
     _check_closed(world_rings)
     bodies = [
         "("
         + ", ".join(
-            _wkt_ring(world_rings[idx]) for idx in [poly.outer] + list(poly.holes)
+            _wkt_ring(world_rings, idx) for idx in [poly.outer] + list(poly.holes)
         )
         + ")"
         for poly in polygons
@@ -90,8 +94,11 @@ def write_wkt(world_rings: list[WorldRing], polygons: list[Polygon]) -> str:
     return "MULTIPOLYGON (" + ", ".join(bodies) + ")"
 
 
-def _wkt_ring(ring: WorldRing) -> str:
-    pts = np.asarray(ring, dtype=float).tolist()
+def _wkt_ring(world_rings: list[WorldRing], idx: int) -> str:
+    ring = np.asarray(world_rings[idx], dtype=float)
+    if not np.isfinite(ring).all():
+        raise ValueError(f"ring {idx} has a non-finite position")
+    pts = ring.tolist()
     return "(" + ", ".join(f"{_num(lon)} {_num(lat)}" for lon, lat in pts) + ")"
 
 

@@ -15,9 +15,11 @@ def raster_from_int(width: int, height: int, mask: int) -> BitRaster:
 def ring_validity_errors(grid_rings, marked_count: int) -> list[str]:
     """Check the ring validity contract; empty list means all good.
 
-    Every ring must be closed and walk in axis-aligned steps, no unit edge
-    may appear twice across the whole ring set, and the signed areas must
-    sum to exactly minus the marked pixel count.
+    Every ring must be closed and walk in axis-aligned steps that turn at
+    every point: horizontal and vertical steps alternate, also across the
+    wrap from the last step to the first, so no ring has a straight run.
+    No unit edge may appear twice across the whole ring set, and the signed
+    areas must sum to exactly minus the marked pixel count.
     """
     errors = []
     for k, ring in enumerate(grid_rings):
@@ -27,6 +29,12 @@ def ring_validity_errors(grid_rings, marked_count: int) -> list[str]:
         for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
             if (x0 == x1) == (y0 == y1):
                 errors.append(f"ring {k} has non-orthogonal step ({x0},{y0})->({x1},{y1})")
+                break
+        horizontal = [y0 == y1 for (_, y0), (_, y1) in zip(pts, pts[1:])]
+        for i, (a, b) in enumerate(zip(horizontal, horizontal[1:] + horizontal[:1])):
+            if a == b:
+                x, y = pts[i + 1]
+                errors.append(f"ring {k} has a straight run at ({x},{y})")
                 break
     edges = unit_edges(grid_rings)
     if len(edges) != len(set(edges)):

@@ -117,7 +117,7 @@ def test_randomized_exactness(randomized_sweep):
 def test_ring_validity_invariants(exhaustive_sweep, randomized_sweep):
     problems = exhaustive_sweep[0]["validity"] + randomized_sweep[0]["validity"]
     report(
-        "ring validity (closed, orthogonal, edge-distinct, exact area sum)",
+        "ring validity (closed, orthogonal, turning, edge-distinct, exact area sum)",
         not problems,
         f"first: {problems[0]}" if problems else "all rings valid",
     )

@@ -1,9 +1,10 @@
 import json
+import warnings
 
 import pytest
 
 import gridtrace.cli as cli
-from gridtrace import TimingRecord, parse_mask
+from gridtrace import RingTraversalError, TimingRecord, TraceError, parse_mask
 from gridtrace.rings import TopologyError
 
 SINGLE_PIXEL_PBM = b"P1\n1 1\n1\n"
@@ -129,12 +130,6 @@ class TestDelineate:
         assert out.startswith("MULTIPOLYGON (")
         assert out.count("((") == 2  # hole emitted as its own shell
 
-    def test_collapse_collinear_flag(self, tmp_path, capsys):
-        path = write_mask_file(tmp_path, SINGLE_PIXEL_PBM)
-        assert cli.main(["delineate", "--input", path, "--collapse-collinear",
-                         "--format", "wkt"]) == 0
-        assert capsys.readouterr().out == "POLYGON ((0 0, 0 1, 1 1, 1 0, 0 0))\n"
-
     def test_output_file(self, tmp_path):
         mask = write_mask_file(tmp_path, SINGLE_PIXEL_PBM)
         out = tmp_path / "out.json"
@@ -154,6 +149,45 @@ class TestDelineate:
         path = write_mask_file(tmp_path, SINGLE_PIXEL_PBM)
         assert cli.main(["delineate", "--input", path]) == 2
         assert "topology" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize(
+        "mask,terms",
+        [
+            # Products overflow to infinity.
+            pytest.param(b"P1\n2 1\n11\n", "1e308 0 0 -1e308 0 0", id="inf"),
+            # Overflowing products of opposite sign add up to NaN.
+            pytest.param(b"P1\n2 2\n1111\n", "1e308 0 -1e308 -1e308 0 0", id="nan"),
+        ],
+    )
+    def test_non_finite_wkt_exits_one(self, tmp_path, capsys, mask, terms):
+        mask = write_mask_file(tmp_path, mask)
+        world = tmp_path / "mask.wld"
+        world.write_text(terms.replace(" ", "\n") + "\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = cli.main(["delineate", "--input", mask, "--world", str(world),
+                           "--format", "wkt"])
+        assert rc == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "gridtrace: error: ring 0 has a non-finite position\n"
+        assert caught == []
+
+    @pytest.mark.parametrize(
+        "stage,error",
+        [("detect", TraceError), ("form_rings", RingTraversalError)],
+    )
+    def test_internal_error_exits_three(self, tmp_path, capsys, monkeypatch, stage, error):
+        def boom(*_):
+            raise error("wiring is inconsistent")
+
+        monkeypatch.setattr(cli, stage, boom)
+        path = write_mask_file(tmp_path, SINGLE_PIXEL_PBM)
+        assert cli.main(["delineate", "--input", path]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "gridtrace: internal error: wiring is inconsistent\n"
 
 
 class TestBench:

@@ -11,7 +11,6 @@ from gridtrace import (
     TopologyError,
     assemble_polygons,
     bernoulli,
-    collapse_ring,
     detect,
     form_rings,
     signed_area,
@@ -79,6 +78,14 @@ class TestFormRings:
         with pytest.raises(RingTraversalError):
             form_rings(bad)
 
+    def test_pipeline_rings_have_no_straight_runs(self):
+        for seed in range(3):
+            r = bernoulli(15, 15, 0.5, seed)
+            grid, _ = form_rings(detect(r))
+            assert ring_validity_errors(grid, r.marked_count()) == []
+        straight = [[(0, 0), (0, 1), (0, 2), (1, 2), (1, 0), (0, 0)]]
+        assert ring_validity_errors(straight, 2) == ["ring 0 has a straight run at (0,1)"]
+
     def test_negative_link_aborts(self):
         bad = Delineation(xs=[0, 1], ys=[0, 0], next_ids=[1, -1], corners=[0])
         with pytest.raises(RingTraversalError):
@@ -106,33 +113,6 @@ class TestSignedArea:
         r = bernoulli(20, 17, p, seed)
         grid, _ = form_rings(detect(r))
         assert sum(signed_area(x) for x in grid) == -r.marked_count()
-
-
-class TestCollapseRing:
-    def test_merges_straight_runs(self):
-        ring = [(0, 0), (0, 1), (0, 2), (1, 2), (2, 2), (2, 1), (2, 0), (1, 0), (0, 0)]
-        assert collapse_ring(ring).tolist() == [[0, 0], [0, 2], [2, 2], [2, 0], [0, 0]]
-
-    def test_pipeline_rings_have_no_straight_runs(self):
-        for seed in range(3):
-            d = detect(bernoulli(15, 15, 0.5, seed))
-            plain, plain_world = form_rings(d)
-            collapsed, collapsed_world = form_rings(d, collapse_collinear=True)
-            for a, b in zip(plain, collapsed):
-                assert a.tolist() == b.tolist()
-            for a, b in zip(plain_world, collapsed_world):
-                assert a.tolist() == b.tolist()
-
-    def test_collapse_preserves_area_and_closure(self):
-        ring = [(0, 0), (0, 1), (0, 2), (0, 3), (3, 3), (3, 0), (2, 0), (1, 0), (0, 0)]
-        out = collapse_ring(ring)
-        assert out[0].tolist() == out[-1].tolist()
-        assert signed_area(out) == signed_area(ring)
-
-    def test_validity_holds_with_collapse_flag(self):
-        r = bernoulli(10, 10, 0.5, 8)
-        grid, _ = form_rings(detect(r), collapse_collinear=True)
-        assert ring_validity_errors(grid, r.marked_count()) == []
 
 
 class TestAssemblePolygons:

@@ -1,9 +1,11 @@
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from conftest import raster_from_int
-from gridtrace import BitRaster, bernoulli, classify_window, detect, window_types
+import gridtrace.trace as trace
+from gridtrace import BitRaster, TraceError, bernoulli, classify_window, detect, window_types
 
 # Window codes producing one vertex, and the diagonal codes producing two.
 SINGLE_VERTEX_CODES = {1, 2, 4, 7, 8, 11, 13, 14}
@@ -61,6 +63,40 @@ class TestDetect:
         d = detect(BitRaster.from_strings(["1"]))
         assert d.dump() == "0 0 0 2 1\n1 1 0 0 0\n2 0 1 3 0\n3 1 1 1 0"
 
+    @pytest.mark.parametrize(
+        "rows,expected",
+        [
+            pytest.param(
+                ["10", "01"],
+                "0 0 0 2 1\n1 1 0 0 0\n2 0 1 3 0\n3 1 1 1 0\n"
+                "4 1 1 6 1\n5 2 1 4 0\n6 1 2 7 0\n7 2 2 5 0",
+                id="code-9",
+            ),
+            pytest.param(
+                ["01", "10"],
+                "0 1 0 3 1\n1 2 0 0 0\n2 0 1 6 1\n3 1 1 5 0\n"
+                "4 1 1 2 0\n5 2 1 1 0\n6 0 2 7 0\n7 1 2 4 0",
+                id="code-6",
+            ),
+            pytest.param(
+                ["111", "101", "111"],
+                "0 0 0 6 1\n1 3 0 0 0\n2 1 1 3 1\n3 2 1 5 0\n"
+                "4 1 2 2 0\n5 2 2 4 0\n6 0 3 7 0\n7 3 3 1 0",
+                id="code-7-hole",
+            ),
+            pytest.param(
+                ["0110", "1001", "0110"],
+                "0 1 0 3 1\n1 3 0 0 0\n2 0 1 8 1\n3 1 1 5 0\n"
+                "4 1 1 2 0\n5 3 1 1 0\n6 3 1 11 1\n7 4 1 6 0\n"
+                "8 0 2 9 0\n9 1 2 4 0\n10 1 2 14 1\n11 3 2 13 0\n"
+                "12 3 2 10 0\n13 4 2 7 0\n14 1 3 15 0\n15 3 3 12 0",
+                id="diagonal-ring",
+            ),
+        ],
+    )
+    def test_golden_dump(self, rows, expected):
+        assert detect(BitRaster.from_strings(rows)).dump() == expected
+
     def test_diagonal_pixels_coinciding_vertices(self):
         d = detect(BitRaster.from_strings(["10", "01"]))
         assert d.vertex_count == 8
@@ -112,3 +148,23 @@ class TestDetect:
             n = d.vertex_count
             assert sorted(d.next_ids) == list(range(n))
             assert all(0 <= i < n for i in d.corners)
+
+
+class TestWiringChecks:
+    """Code grids no raster can produce must raise, not return bad links."""
+
+    @pytest.mark.parametrize(
+        "codes,message",
+        [
+            pytest.param([[8]], "cannot pair off", id="odd-count"),
+            pytest.param([[8, 1]], "rows and columns", id="column-mismatch"),
+            pytest.param([[8], [1]], "rows and columns", id="row-mismatch"),
+            pytest.param([[8, 4], [2, 2]], "unlinked", id="unlinked"),
+        ],
+    )
+    def test_inconsistent_codes_raise(self, monkeypatch, codes, message):
+        grid = np.array(codes, dtype=np.uint8)
+        monkeypatch.setattr(trace, "window_types", lambda raster: grid)
+        raster = BitRaster(grid.shape[1] - 1, grid.shape[0] - 1)
+        with pytest.raises(TraceError, match=message):
+            detect(raster)

@@ -123,6 +123,18 @@ class TestWkt:
         with pytest.raises(ValueError, match="closed"):
             write_wkt([[(0.0, 0.0), (1.0, 0.0)]], [Polygon(0, [])])
 
+    def test_non_finite_positions_rejected_naming_the_ring(self):
+        outer = [(0.0, 0.0), (0.0, 3.0), (3.0, 3.0), (3.0, 0.0), (0.0, 0.0)]
+        hole = [(1.0, 1.0), (float("nan"), 1.0), (2.0, 2.0), (1.0, 2.0), (1.0, 1.0)]
+        with pytest.raises(ValueError, match="^ring 1 has a non-finite position$"):
+            write_wkt([outer, hole], [Polygon(0, [1])])
+
+    def test_overflowing_transform_rejected(self):
+        tr = AffineTransform(1e308, 0.0, 0.0, 0.0, -1e308, 0.0)
+        grid, world = pipeline(["11"], tr)
+        with pytest.raises(ValueError, match="^ring 0 has a non-finite position$"):
+            write_wkt(world, assemble_polygons(grid))
+
     def test_round_trip_recovers_world_coordinates(self):
         grid, world = pipeline(["110", "010", "011"])
         text = write_wkt(world, assemble_polygons(grid))
