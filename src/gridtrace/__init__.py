@@ -28,7 +28,7 @@ from .rings import (
     form_rings,
     signed_area,
 )
-from .trace import Delineation, TraceError, classify_window, detect, window_types
+from .trace import Delineation, TraceError, detect, window_types
 from .transform import (
     IDENTITY,
     AffineTransform,
@@ -70,7 +70,6 @@ __all__ = [
     "bernoulli",
     "boundary_edges",
     "check_shape",
-    "classify_window",
     "detect",
     "form_rings",
     "parse_mask",

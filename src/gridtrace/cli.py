@@ -125,7 +125,7 @@ def cmd_delineate(args) -> int:
     transform = parse_world_file(Path(args.world).read_text()) if args.world else IDENTITY
     grid_rings, world_rings = form_rings(detect(raster), transform)
     if args.format == "rings-geojson":
-        out = write_geojson(world_rings, mode="rings", crs=args.crs)
+        out = write_geojson(world_rings, crs=args.crs)
     else:
         if args.assemble:
             polygons = assemble_polygons(grid_rings)
@@ -134,7 +134,7 @@ def cmd_delineate(args) -> int:
         if args.format == "wkt":
             out = write_wkt(world_rings, polygons)
         else:
-            out = write_geojson(world_rings, polygons, mode="polygons", crs=args.crs)
+            out = write_geojson(world_rings, polygons, crs=args.crs)
     _emit_text(out, args.output)
     return 0
 

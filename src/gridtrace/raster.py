@@ -26,6 +26,7 @@ __all__ = [
 ]
 
 MASK_FORMATS = ("pbm-ascii", "pbm-binary", "ascii-grid")
+_MAX_DIMENSION = np.iinfo(np.intp).max
 
 
 class MaskError(ValueError):
@@ -47,8 +48,7 @@ class MaskTruncatedError(MaskError):
 class BitRaster:
     """A width x height binary pixel mask, immutable after construction.
 
-    Pixels are stored row-major as booleans (True = marked). `get` accepts
-    any integer coordinates and reports out-of-bounds pixels as unmarked.
+    Pixels are stored row-major as booleans (True = marked).
     """
 
     __slots__ = ("width", "height", "_bits")
@@ -80,12 +80,6 @@ class BitRaster:
             [[ch in "1#" for ch in row] for row in rows], dtype=bool
         ).reshape(height, width)
         return cls(width, height, bits)
-
-    def get(self, x: int, y: int) -> bool:
-        """Return the pixel state; coordinates outside the grid are unmarked."""
-        if 0 <= x < self.width and 0 <= y < self.height:
-            return bool(self._bits[y, x])
-        return False
 
     def marked_count(self) -> int:
         return int(self._bits.sum())
@@ -201,6 +195,9 @@ def _parse_pbm_dims(tokens: list[bytes]) -> tuple[int, int]:
         ) from None
     if w < 0 or h < 0:
         raise MaskHeaderError(f"negative dimensions {w}x{h}")
+    for d in (w, h):
+        if d > _MAX_DIMENSION:
+            raise MaskHeaderError(f"dimension {d} exceeds the largest array dimension")
     return w, h
 
 

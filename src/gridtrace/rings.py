@@ -24,11 +24,12 @@ O(P log P) in the vertical perimeter P.
 
 from __future__ import annotations
 
+import array
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .trace import Delineation
+from .trace import Delineation, link_problem
 from .transform import IDENTITY, AffineTransform
 
 __all__ = [
@@ -77,48 +78,49 @@ def form_rings(
     have no straight runs. World positions that overflow come out as
     non-finite floats, without a warning; the writers refuse them.
 
-    Raises RingTraversalError if a walk fails to close within vertex_count
-    steps or some vertex is unreachable from every entry corner.
+    Raises RingTraversalError if the arena's fields differ in length,
+    next_ids is not a permutation of the vertices, an entry corner is not a
+    vertex, or some vertex is unreachable from every entry corner.
     """
-    nxt = delineation.next_ids
-    n = delineation.vertex_count
+    xs, ys, nxt, corners = (
+        np.asarray(a, dtype=np.int64)
+        for a in (delineation.xs, delineation.ys, delineation.next_ids, delineation.corners)
+    )
+    n = len(nxt)
+    problem = link_problem(nxt, corners)
+    if not len(xs) == len(ys) == n:
+        problem = f"arena has {len(xs)} xs, {len(ys)} ys and {n} next_ids"
+    if problem:
+        raise RingTraversalError(problem)
+    # A memoryview and an int64 array.array hold no int object per vertex;
+    # scattered int objects slow a list walk once they leave the cache.
+    nxt = memoryview(nxt)
     visited = bytearray(n)
-    order: list[int] = []
+    order = array.array("q")
     bounds: list[int] = [0]
     append = order.append
-    for corner in delineation.corners:
+    for corner in corners.tolist():
         if visited[corner]:
             continue
         i = corner
-        steps = 0
         while True:
             append(i)
             visited[i] = 1
             i = nxt[i]
-            steps += 1
             if i == corner:
                 break
-            if i < 0 or steps > n:
-                raise RingTraversalError(
-                    f"walk from corner {corner} did not close after {steps} steps"
-                )
         bounds.append(len(order))
     if len(order) != n:
-        raise RingTraversalError(
-            f"{n - len(order)} vertices unreachable from any entry corner"
-        )
+        raise RingTraversalError(f"{n - len(order)} vertices unreachable from any entry corner")
 
     # Materialize all rings in bulk: gather walk-ordered coordinates, insert
     # each ring's closing point, then hand out per-ring views. Per-vertex
     # Python work here would dominate the pipeline on large rasters.
-    walk = np.asarray(order, dtype=np.intp)
-    ring_count = len(bounds) - 1
-    starts = np.asarray(bounds[:-1], dtype=np.intp)
-    ends = np.asarray(bounds[1:], dtype=np.intp)
-    closed = np.insert(walk, ends, walk[starts]) if ring_count else walk
-    gx = np.asarray(delineation.xs, dtype=np.int64)[closed]
-    gy = np.asarray(delineation.ys, dtype=np.int64)[closed]
-    grid_coords = np.stack([gx, gy], axis=1)
+    walk = np.frombuffer(order, dtype=np.int64)
+    starts, ends = (np.asarray(b, dtype=np.intp) for b in (bounds[:-1], bounds[1:]))
+    closed = np.insert(walk, ends, walk[starts])
+    grid_coords = np.stack([xs[closed], ys[closed]], axis=1)
+    gx, gy = grid_coords.T
     with np.errstate(over="ignore", invalid="ignore"):
         world_coords = np.stack(
             [
@@ -130,14 +132,12 @@ def form_rings(
     grid_coords.setflags(write=False)
     world_coords.setflags(write=False)
 
-    offsets = np.arange(ring_count + 1) + np.asarray(bounds, dtype=np.intp)
-    grid_rings: list[GridRing] = []
-    world_rings: list[WorldRing] = []
-    for k in range(ring_count):
-        start, end = offsets[k], offsets[k + 1]
-        grid_rings.append(grid_coords[start:end])
-        world_rings.append(world_coords[start:end])
-    return grid_rings, world_rings
+    # Ring k's closing point shifts every later ring by k.
+    offsets = [b + k for k, b in enumerate(bounds)]
+    return (
+        [grid_coords[s:e] for s, e in zip(offsets, offsets[1:])],
+        [world_coords[s:e] for s, e in zip(offsets, offsets[1:])],
+    )
 
 
 def signed_area(ring) -> float:

@@ -24,7 +24,8 @@ the row pairing takes the copies in swapped order. Top-left corner vertices
 (codes 7, 8 and the second copy of 9) are recorded as ring entry points;
 code 7 is kept because interior holes begin there.
 
-Vertices live in a flat arena in scan order; links are arena indices.
+Vertices live in a flat arena of numpy int arrays in scan order; links
+are arena indices.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import numpy as np
 
 from .raster import BitRaster
 
-__all__ = ["Delineation", "TraceError", "classify_window", "detect", "window_types"]
+__all__ = ["Delineation", "TraceError", "detect", "link_problem", "window_types"]
 
 # Window codes that yield a vertex; 6 and 9 yield two coinciding vertices.
 _ACTIONABLE = np.zeros(16, dtype=bool)
@@ -50,15 +51,15 @@ class TraceError(RuntimeError):
 class Delineation:
     """Vertex arena plus ring entry points produced by `detect`.
 
-    xs/ys give each vertex's corner coordinates, next_ids the successor in
-    its circular list, corners the arena indices of ring entry points in
-    scan order.
+    Four int arrays: xs/ys give each vertex's corner coordinates, next_ids
+    the successor in its circular list, corners the arena indices of ring
+    entry points in scan order. Hand-built arenas may use plain int lists.
     """
 
-    xs: list[int]
-    ys: list[int]
-    next_ids: list[int]
-    corners: list[int]
+    xs: np.ndarray
+    ys: np.ndarray
+    next_ids: np.ndarray
+    corners: np.ndarray
 
     @property
     def vertex_count(self) -> int:
@@ -66,21 +67,33 @@ class Delineation:
 
     def dump(self) -> str:
         """One line per vertex: 'index x y next is_entry', for golden tests."""
-        entry = set(self.corners)
+        xs, ys, nxt = (np.asarray(a).tolist() for a in (self.xs, self.ys, self.next_ids))
+        entry = set(np.asarray(self.corners).tolist())
         return "\n".join(
-            f"{i} {self.xs[i]} {self.ys[i]} {self.next_ids[i]} {1 if i in entry else 0}"
-            for i in range(len(self.xs))
+            f"{i} {xs[i]} {ys[i]} {nxt[i]} {1 if i in entry else 0}" for i in range(len(xs))
         )
 
 
-def classify_window(raster: BitRaster, x: int, y: int) -> int:
-    """Classify the 2x2 window centered on corner (x, y) into its 4-bit code."""
-    return (
-        (1 if raster.get(x - 1, y - 1) else 0)
-        + (2 if raster.get(x, y - 1) else 0)
-        + (4 if raster.get(x - 1, y) else 0)
-        + (8 if raster.get(x, y) else 0)
-    )
+def link_problem(next_ids: np.ndarray, corners: np.ndarray) -> str | None:
+    """Why next_ids is not a permutation of range(n) with every corner in
+    range, naming the first bad vertex or corner; None if it is one.
+
+    Every cycle of a permutation closes, so a walk over checked links needs
+    no step limit.
+    """
+    n = len(next_ids)
+    bad = np.flatnonzero((next_ids < 0) | (next_ids >= n))
+    if len(bad):
+        i = int(bad[0])
+        return f"vertex {i} is unlinked: its successor {next_ids[i]} is not in 0..{n - 1}"
+    twice = np.flatnonzero(np.bincount(next_ids, minlength=n) > 1)
+    if len(twice):
+        return f"vertex {twice[0]} is linked more than once; lists are not disjoint cycles"
+    bad = np.flatnonzero((corners < 0) | (corners >= n))
+    if len(bad):
+        return f"entry corner {corners[bad[0]]} is not a vertex in 0..{n - 1}"
+    return None
+
 
 def window_types(raster: BitRaster) -> np.ndarray:
     """Window codes for the whole (height+1) x (width+1) corner grid at once."""
@@ -102,6 +115,9 @@ def detect(raster: BitRaster) -> Delineation:
     leave a vertex without a successor or with two predecessors, raise
     TraceError rather than returning partial geometry.
     """
+    if raster.width == 0 or raster.height == 0:
+        # No pixels, no vertices; the corner grid may still be huge.
+        return Delineation(*(np.zeros(0, dtype=np.intp) for _ in range(4)))
     codes = window_types(raster).ravel()
     hits = np.flatnonzero(_ACTIONABLE[codes])
     diagonal = (codes[hits] == 6) | (codes[hits] == 9)
@@ -134,12 +150,7 @@ def detect(raster: BitRaster) -> Delineation:
         nxt[np.where(forward, a, b)] = np.where(forward, b, a)
     corners = np.flatnonzero((code == 7) | (code == 8) | (second & (code == 9)))
     del code, second, rows, six, cols, ha, hb, va, vb
-    if n:
-        if nxt.min() < 0:
-            raise TraceError("wiring left a vertex unlinked")
-        if np.bincount(nxt, minlength=n).max() > 1:
-            raise TraceError("vertex linked more than once; lists are not disjoint cycles")
-    # One shared int object per coordinate value; ints above 256 are not
-    # cached, and allocating one per vertex costs time and memory.
-    values = np.arange(max(raster.width, raster.height) + 1).astype(object)
-    return Delineation(values[xs].tolist(), values[ys].tolist(), nxt.tolist(), corners.tolist())
+    problem = link_problem(nxt, corners)
+    if problem:
+        raise TraceError(problem)
+    return Delineation(xs, ys, nxt, corners)

@@ -1,10 +1,11 @@
 """Brute-force oracles for certifying traced rings against the source mask.
 
 These deliberately share no logic with the fast paths in `trace` and
-`rings`: boundary edges are enumerated straight off the pixel grid,
-rasterization casts rays against ring segments, and hole assembly
-ray-casts every hole against every exterior. All are meant for tests and
-verification runs, not for speed.
+`rings`: pixels and window codes are read one at a time, boundary edges
+are enumerated straight off the pixel grid, rasterization casts rays
+against ring segments, and hole assembly ray-casts every hole against
+every exterior. All are meant for tests and verification runs, not for
+speed.
 """
 
 from __future__ import annotations
@@ -17,12 +18,34 @@ from .rings import Polygon, TopologyError
 __all__ = [
     "assemble_polygons_bruteforce",
     "boundary_edges",
+    "classify_window",
+    "pixel_at",
     "rasterize_even_odd",
     "unit_edges",
 ]
 
 # An undirected unit segment on the corner grid, endpoints in lexicographic order.
 Edge = tuple[tuple[int, int], tuple[int, int]]
+
+
+def pixel_at(raster: BitRaster, x: int, y: int) -> bool:
+    """Return the pixel state; coordinates outside the grid are unmarked."""
+    if 0 <= x < raster.width and 0 <= y < raster.height:
+        return bool(raster._bits[y, x])
+    return False
+
+
+def classify_window(raster: BitRaster, x: int, y: int) -> int:
+    """Classify the 2x2 window centered on corner (x, y) into its 4-bit code.
+
+    Reference for `trace.window_types`, one pixel read at a time.
+    """
+    return (
+        (1 if pixel_at(raster, x - 1, y - 1) else 0)
+        + (2 if pixel_at(raster, x, y - 1) else 0)
+        + (4 if pixel_at(raster, x - 1, y) else 0)
+        + (8 if pixel_at(raster, x, y) else 0)
+    )
 
 
 def boundary_edges(raster: BitRaster) -> set[Edge]:

@@ -26,22 +26,30 @@ def _check_closed(rings: Iterable[WorldRing]) -> None:
 def write_geojson(
     world_rings: list[WorldRing],
     polygons: list[Polygon] | None = None,
-    mode: str = "polygons",
     crs: str | None = None,
+    *,
+    mode: str | None = None,
 ) -> str:
     """Serialize rings as a GeoJSON FeatureCollection.
 
-    mode="polygons" needs the `polygons` grouping and emits one Polygon
-    feature per exterior, outer ring first and holes after it. mode="rings"
-    emits one LineString feature per ring. Positions are [longitude,
-    latitude]. `crs` attaches a named CRS as a foreign member; coordinates
-    are WGS84 lon/lat by convention otherwise. Non-finite positions raise
-    ValueError, since JSON has no NaN or Infinity.
+    Given the `polygons` grouping, emits one Polygon feature per exterior,
+    outer ring first and holes after it; without it, one LineString
+    feature per ring. Positions are [longitude, latitude]. `crs` attaches a
+    named CRS as a foreign member; coordinates are WGS84 lon/lat by
+    convention otherwise. Non-finite positions raise ValueError, since JSON
+    has no NaN or Infinity.
+
+    `mode` is the older spelling of the same choice, still passed by the
+    benchmark's self-tests: "rings" ignores `polygons`, "polygons" needs it.
     """
+    if mode not in (None, "polygons", "rings"):
+        raise ValueError(f"unknown GeoJSON mode {mode!r}")
+    if mode == "polygons" and polygons is None:
+        raise ValueError("mode='polygons' requires the polygon grouping")
     _check_closed(world_rings)
-    if mode == "polygons":
-        if polygons is None:
-            raise ValueError("mode='polygons' requires the polygon grouping")
+    if polygons is None or mode == "rings":
+        features = [_feature("LineString", _positions(ring)) for ring in world_rings]
+    else:
         features = [
             _feature(
                 "Polygon",
@@ -50,10 +58,6 @@ def write_geojson(
             )
             for poly in polygons
         ]
-    elif mode == "rings":
-        features = [_feature("LineString", _positions(ring)) for ring in world_rings]
-    else:
-        raise ValueError(f"unknown GeoJSON mode {mode!r}")
     collection: dict = {"type": "FeatureCollection", "features": features}
     if crs is not None:
         collection["crs"] = crs

@@ -122,6 +122,25 @@ class TestDelineate:
         assert err.count("\n") == 1
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("format", ["geojson", "rings-geojson"])
+    def test_empty_mask_with_huge_width_exits_zero(self, tmp_path, capsys, format):
+        # A 22-byte header for 10**15 x 0 pixels; a corner grid for it would
+        # take petabytes.
+        path = write_mask_file(tmp_path, b"P4\n1000000000000000 0\n")
+        assert cli.main(["delineate", "--input", path, "--format", format]) == 0
+        out, err = capsys.readouterr()
+        assert out == '{"type": "FeatureCollection", "features": []}\n'
+        assert err == ""
+
+    def test_dimension_beyond_any_array_exits_one(self, tmp_path, capsys):
+        path = write_mask_file(tmp_path, b"P4\n100000000000000000000000 0\n")
+        assert cli.main(["delineate", "--input", path]) == 1
+        err = capsys.readouterr().err
+        assert err == (
+            "gridtrace: error: dimension 100000000000000000000000 "
+            "exceeds the largest array dimension\n"
+        )
+
     def test_no_assemble_emits_raw_shells(self, tmp_path, capsys):
         path = write_mask_file(tmp_path, b"P1\n3 3\n111101111")
         assert cli.main(["delineate", "--input", path, "--no-assemble",

@@ -12,23 +12,24 @@ from gridtrace import (
     sniff_mask_format,
     write_mask,
 )
+from gridtrace.verify import pixel_at
 
 
 class TestBitRaster:
     def test_get_stored_bit(self):
         r = BitRaster.from_strings(["1"])
-        assert r.get(0, 0) is True
+        assert pixel_at(r, 0, 0) is True
 
     @pytest.mark.parametrize("x,y", [(-1, -1), (1, 0), (0, 1), (-1, 0), (0, -1), (5, 5)])
     def test_get_out_of_bounds_is_unmarked(self, x, y):
         r = BitRaster.from_strings(["1"])
-        assert r.get(x, y) is False
+        assert pixel_at(r, x, y) is False
 
     def test_from_strings(self):
         r = BitRaster.from_strings(["10", "01"])
-        assert (r.get(0, 0), r.get(1, 0), r.get(0, 1), r.get(1, 1)) == (
+        assert [pixel_at(r, x, y) for y in (0, 1) for x in (0, 1)] == [
             True, False, False, True,
-        )
+        ]
         assert r.marked_count() == 2
 
     def test_from_strings_ragged(self):
@@ -45,7 +46,7 @@ class TestBitRaster:
 
     def test_zero_size_is_valid(self):
         assert BitRaster(0, 0).marked_count() == 0
-        assert BitRaster(5, 0).get(2, 0) is False
+        assert pixel_at(BitRaster(5, 0), 2, 0) is False
 
     def test_equality(self):
         a = BitRaster.from_strings(["10"])
@@ -84,8 +85,8 @@ class TestPbmAscii:
     def test_basic(self):
         r = parse_mask(b"P1\n2 1\n1 0", "pbm-ascii")
         assert (r.width, r.height) == (2, 1)
-        assert r.get(0, 0) is True
-        assert r.get(1, 0) is False
+        assert pixel_at(r, 0, 0) is True
+        assert pixel_at(r, 1, 0) is False
 
     def test_empty_raster(self):
         r = parse_mask(b"P1\n0 0\n", "pbm-ascii")
@@ -129,15 +130,21 @@ class TestPbmAscii:
 
 
 class TestPbmBinary:
+    @pytest.mark.parametrize("header", [b"P4\n%d 0\n", b"P4\n0 %d\n", b"P1\n%d 0\n"])
+    def test_dimension_beyond_any_array_is_a_header_error(self, header):
+        data = header % 10**23
+        with pytest.raises(MaskHeaderError, match=f"^dimension {10**23} exceeds"):
+            parse_mask(data, sniff_mask_format(data))
+
     def test_basic_padded_rows(self):
         # 9 wide: two bytes per row, second byte uses only its top bit
         data = b"P4\n9 2\n" + bytes([0b10101010, 0b10000000, 0x00, 0b10000000])
         r = parse_mask(data, "pbm-binary")
         assert r.width == 9 and r.height == 2
-        assert [r.get(x, 0) for x in range(9)] == [
+        assert [pixel_at(r, x, 0) for x in range(9)] == [
             True, False, True, False, True, False, True, False, True,
         ]
-        assert [r.get(x, 1) for x in range(9)] == [False] * 8 + [True]
+        assert [pixel_at(r, x, 1) for x in range(9)] == [False] * 8 + [True]
 
     def test_truncated(self):
         with pytest.raises(MaskTruncatedError):

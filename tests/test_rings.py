@@ -91,6 +91,27 @@ class TestFormRings:
         with pytest.raises(RingTraversalError):
             form_rings(bad)
 
+    @pytest.mark.parametrize(
+        "next_ids,corners,message",
+        [
+            ([1, 5], [0], "^vertex 1 is unlinked: its successor 5 is not in 0..1$"),
+            ([1, 5], [3], "^vertex 1 is unlinked: its successor 5 is not in 0..1$"),
+            ([1, 0], [0, 2], "^entry corner 2 is not a vertex in 0..1$"),
+            ([1, 2, 0], [0], "^arena has 2 xs, 2 ys and 3 next_ids$"),
+        ],
+        ids=["link", "link-and-corner", "corner", "lengths"],
+    )
+    def test_out_of_range_index_aborts(self, next_ids, corners, message):
+        bad = Delineation(xs=[0, 1], ys=[0, 0], next_ids=next_ids, corners=corners)
+        with pytest.raises(RingTraversalError, match=message):
+            form_rings(bad)
+
+    def test_arrays_and_lists_give_the_same_rings(self):
+        d = detect(bernoulli(9, 7, 0.5, 11))
+        as_lists = Delineation(*(a.tolist() for a in (d.xs, d.ys, d.next_ids, d.corners)))
+        for got, want in zip(form_rings(as_lists), form_rings(d)):
+            assert [r.tolist() for r in got] == [r.tolist() for r in want]
+
 
 class TestSignedArea:
     def test_single_pixel_ring(self):

@@ -5,7 +5,8 @@ import pytest
 
 from conftest import raster_from_int
 import gridtrace.trace as trace
-from gridtrace import BitRaster, TraceError, bernoulli, classify_window, detect, window_types
+from gridtrace import BitRaster, TraceError, bernoulli, detect, window_types
+from gridtrace.verify import classify_window
 
 # Window codes producing one vertex, and the diagonal codes producing two.
 SINGLE_VERTEX_CODES = {1, 2, 4, 7, 8, 11, 13, 14}
@@ -41,17 +42,19 @@ class TestClassifyWindow:
 
 
 class TestDetect:
-    @pytest.mark.parametrize("w,h", [(0, 0), (3, 3), (4, 0), (0, 4), (1, 1)])
+    # A 10**15 x 0 raster has a corner grid of petabytes, which detect must
+    # not build.
+    @pytest.mark.parametrize("w,h", [(0, 0), (3, 3), (4, 0), (0, 4), (1, 1), (10**15, 0)])
     def test_empty_raster(self, w, h):
         d = detect(BitRaster(w, h))
         assert d.vertex_count == 0
-        assert d.corners == []
+        assert len(d.corners) == 0
 
     def test_single_pixel(self):
         d = detect(BitRaster.from_strings(["1"]))
         assert d.vertex_count == 4
         assert list(zip(d.xs, d.ys)) == [(0, 0), (1, 0), (0, 1), (1, 1)]
-        assert d.corners == [0]
+        assert d.corners.tolist() == [0]
         # ring order from the entry corner: down, right, up, back
         chain = [0]
         for _ in range(3):
@@ -151,14 +154,18 @@ class TestDetect:
 
 
 class TestWiringChecks:
-    """Code grids no raster can produce must raise, not return bad links."""
+    """Code grids no raster can produce must raise, not return bad links.
+
+    Each grid is at least 2x2: a raster with no pixels returns before its
+    codes are read.
+    """
 
     @pytest.mark.parametrize(
         "codes,message",
         [
-            pytest.param([[8]], "cannot pair off", id="odd-count"),
-            pytest.param([[8, 1]], "rows and columns", id="column-mismatch"),
-            pytest.param([[8], [1]], "rows and columns", id="row-mismatch"),
+            pytest.param([[8, 0], [0, 0]], "cannot pair off", id="odd-count"),
+            pytest.param([[8, 1], [0, 0]], "rows and columns", id="column-mismatch"),
+            pytest.param([[8, 0], [1, 0]], "rows and columns", id="row-mismatch"),
             pytest.param([[8, 4], [2, 2]], "unlinked", id="unlinked"),
         ],
     )

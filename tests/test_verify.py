@@ -10,7 +10,7 @@ from gridtrace import (
     form_rings,
     rasterize_even_odd,
 )
-from gridtrace.verify import unit_edges
+from gridtrace.verify import pixel_at, unit_edges
 
 
 class TestBoundaryEdges:
@@ -91,7 +91,7 @@ class TestRasterizeEvenOdd:
                         for (cx, y0, y1) in segments
                         if cx > x + 0.5 and min(y0, y1) < y + 0.5 < max(y0, y1)
                     )
-                    assert (crossings % 2 == 1) == filled.get(x, y), (seed, x, y)
+                    assert (crossings % 2 == 1) == pixel_at(filled, x, y), (seed, x, y)
 
 
 def test_pipeline_matches_oracles_on_small_exhaustive():

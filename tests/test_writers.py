@@ -28,7 +28,7 @@ def pipeline(rows, transform=None):
 class TestGeojson:
     def test_single_pixel_rings_mode(self):
         _, world = pipeline(["1"])
-        doc = json.loads(write_geojson(world, mode="rings"))
+        doc = json.loads(write_geojson(world))
         assert doc["type"] == "FeatureCollection"
         assert len(doc["features"]) == 1
         geom = doc["features"][0]["geometry"]
@@ -39,7 +39,7 @@ class TestGeojson:
 
     def test_empty_collection_exact_text(self):
         assert (
-            write_geojson([], polygons=[], mode="polygons")
+            write_geojson([], polygons=[])
             == '{"type": "FeatureCollection", "features": []}'
         )
 
@@ -62,12 +62,20 @@ class TestGeojson:
 
     def test_open_ring_rejected(self):
         with pytest.raises(ValueError, match="closed"):
-            write_geojson([[(0.0, 0.0), (0.0, 1.0)]], mode="rings")
+            write_geojson([[(0.0, 0.0), (0.0, 1.0)]])
 
     def test_non_finite_positions_rejected(self):
         ring = [(0.0, 0.0), (float("inf"), 1.0), (0.0, 1.0), (0.0, 0.0)]
         with pytest.raises(ValueError, match="JSON compliant"):
-            write_geojson([ring], mode="rings")
+            write_geojson([ring])
+
+    def test_rings_without_grouping_polygons_with_it(self):
+        grid, world = pipeline(["111", "101", "111"])
+        polygons = assemble_polygons(grid)
+        rings = json.loads(write_geojson(world))["features"]
+        assert [f["geometry"]["type"] for f in rings] == ["LineString", "LineString"]
+        assert write_geojson(world, polygons, mode="rings") == write_geojson(world)
+        assert write_geojson(world, polygons, mode="polygons") == write_geojson(world, polygons)
 
     def test_polygons_mode_needs_grouping(self):
         with pytest.raises(ValueError):
@@ -83,7 +91,7 @@ class TestGeojson:
 
     def test_properties_present(self):
         _, world = pipeline(["1"])
-        doc = json.loads(write_geojson(world, mode="rings"))
+        doc = json.loads(write_geojson(world))
         assert doc["features"][0]["properties"] == {}
 
 
