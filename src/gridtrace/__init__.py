@@ -19,11 +19,10 @@ from .raster import (
     write_mask,
 )
 from .rings import (
-    GridRing,
     Polygon,
+    RingSet,
     RingTraversalError,
     TopologyError,
-    WorldRing,
     assemble_polygons,
     form_rings,
     signed_area,
@@ -51,20 +50,19 @@ __all__ = [
     "BitRaster",
     "Delineation",
     "DegenerateTransformError",
-    "GridRing",
     "IDENTITY",
     "MaskDimensionError",
     "MaskError",
     "MaskHeaderError",
     "MaskTruncatedError",
     "Polygon",
+    "RingSet",
     "RingTraversalError",
     "ShapeReport",
     "TimingRecord",
     "TopologyError",
     "TraceError",
     "WorldFileError",
-    "WorldRing",
     "assemble_polygons",
     "assemble_polygons_bruteforce",
     "bernoulli",

@@ -87,11 +87,8 @@ class BitRaster:
     def __eq__(self, other) -> bool:
         if not isinstance(other, BitRaster):
             return NotImplemented
-        return (
-            self.width == other.width
-            and self.height == other.height
-            and bool(np.array_equal(self._bits, other._bits))
-        )
+        # The bits' shape is (height, width), so equal bits mean equal dimensions.
+        return bool(np.array_equal(self._bits, other._bits))
 
     def __hash__(self):
         return hash((self.width, self.height, self._bits.tobytes()))
@@ -140,23 +137,16 @@ def parse_mask(data: bytes, format: str) -> BitRaster:
 def write_mask(raster: BitRaster, format: str = "pbm-binary") -> bytes:
     """Serialize a raster; inverse of parse_mask for every supported format."""
     w, h = raster.width, raster.height
-    if format == "pbm-ascii":
-        header = f"P1\n{w} {h}\n".encode()
-        rows = b"".join(
-            "".join("1" if v else "0" for v in row).encode() + b"\n"
-            for row in raster._bits.tolist()
-        )
-        return header + rows
     if format == "pbm-binary":
-        header = f"P4\n{w} {h}\n".encode()
         packed = np.packbits(raster._bits, axis=1) if w else np.zeros((h, 0), np.uint8)
-        return header + packed.tobytes()
-    if format == "ascii-grid":
-        return b"".join(
-            "".join("1" if v else "0" for v in row).encode() + b"\n"
-            for row in raster._bits.tolist()
-        )
-    raise ValueError(f"unknown mask format {format!r}")
+        return f"P4\n{w} {h}\n".encode() + packed.tobytes()
+    if format not in ("pbm-ascii", "ascii-grid"):
+        raise ValueError(f"unknown mask format {format!r}")
+    rows = b"".join(
+        "".join("1" if v else "0" for v in row).encode() + b"\n"
+        for row in raster._bits.tolist()
+    )
+    return (f"P1\n{w} {h}\n".encode() if format == "pbm-ascii" else b"") + rows
 
 
 def _tokenize_pbm_header(data: bytes, count: int) -> tuple[list[bytes], int]:
@@ -186,26 +176,28 @@ def _tokenize_pbm_header(data: bytes, count: int) -> tuple[list[bytes], int]:
     return tokens, i
 
 
-def _parse_pbm_dims(tokens: list[bytes]) -> tuple[int, int]:
-    try:
-        w, h = int(tokens[1]), int(tokens[2])
-    except ValueError:
-        raise MaskHeaderError(
-            f"non-numeric dimensions {tokens[1]!r} {tokens[2]!r}"
-        ) from None
-    if w < 0 or h < 0:
-        raise MaskHeaderError(f"negative dimensions {w}x{h}")
-    for d in (w, h):
-        if d > _MAX_DIMENSION:
-            raise MaskHeaderError(f"dimension {d} exceeds the largest array dimension")
-    return w, h
+def _clip(token: bytes) -> bytes:
+    """A header token cut short enough to echo in an error message."""
+    return token if len(token) <= 24 else token[:20] + b"..."
+
+
+def _parse_pbm_dim(token: bytes) -> int:
+    shown = _clip(token).decode("latin-1")
+    if not token.isdigit():
+        raise MaskHeaderError(f"dimension {shown!r} is not a non-negative decimal integer")
+    # int() refuses more than 4300 digits, leading zeros included, and 20
+    # significant digits already exceed any array dimension.
+    d = int(token.lstrip(b"0")[:20] or b"0")
+    if d > _MAX_DIMENSION:
+        raise MaskHeaderError(f"dimension {shown} exceeds the largest array dimension")
+    return d
 
 
 def _parse_pbm_ascii(data: bytes) -> BitRaster:
     tokens, offset = _tokenize_pbm_header(data, 3)
     if tokens[0] != b"P1":
-        raise MaskHeaderError(f"expected P1 magic, got {tokens[0]!r}")
-    w, h = _parse_pbm_dims(tokens)
+        raise MaskHeaderError(f"expected P1 magic, got {_clip(tokens[0])!r}")
+    w, h = map(_parse_pbm_dim, tokens[1:3])
     need = w * h
     # Every pixel takes at least one byte, so a header that promises more
     # pixels than there are payload bytes is rejected before allocating.
@@ -234,8 +226,8 @@ def _parse_pbm_ascii(data: bytes) -> BitRaster:
 def _parse_pbm_binary(data: bytes) -> BitRaster:
     tokens, offset = _tokenize_pbm_header(data, 3)
     if tokens[0] != b"P4":
-        raise MaskHeaderError(f"expected P4 magic, got {tokens[0]!r}")
-    w, h = _parse_pbm_dims(tokens)
+        raise MaskHeaderError(f"expected P4 magic, got {_clip(tokens[0])!r}")
+    w, h = map(_parse_pbm_dim, tokens[1:3])
     row_bytes = (w + 7) // 8
     need = row_bytes * h
     payload = data[offset:]

@@ -5,9 +5,9 @@ the start, emitting the ring in grid coordinates and, through the
 grid-to-world transform, in (longitude, latitude). Rings that contain
 several entry corners are emitted once.
 
-Rings are numpy coordinate arrays of shape (n+1, 2), closed by repeating
-the first coordinate: integer grid corners (int64) and float world
-positions. Hand-built rings as plain coordinate-pair lists are accepted
+A ring set is a `RingSet` in GeoArrow's ragged layout: one (N, 2) buffer of
+int64 grid corners or float world positions, cut into closed rings by an
+offsets array. Hand-built rings as lists of coordinate pairs are accepted
 everywhere rings are consumed.
 
 Orientation falls out of the wiring: with y growing downward, outer rings
@@ -25,7 +25,9 @@ O(P log P) in the vertical perimeter P.
 from __future__ import annotations
 
 import array
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import pairwise
 
 import numpy as np
 
@@ -33,18 +35,14 @@ from .trace import Delineation, link_problem
 from .transform import IDENTITY, AffineTransform
 
 __all__ = [
-    "GridRing",
     "Polygon",
+    "RingSet",
     "RingTraversalError",
     "TopologyError",
-    "WorldRing",
     "assemble_polygons",
     "form_rings",
     "signed_area",
 ]
-
-GridRing = np.ndarray  # (n+1, 2) int64, first row equals last
-WorldRing = np.ndarray  # (n+1, 2) float64, first row equals last
 
 
 class RingTraversalError(RuntimeError):
@@ -59,9 +57,40 @@ class TopologyError(ValueError):
         self.ring_index = ring_index
 
 
+class RingSet(Sequence):
+    """Closed rings in one read-only (N, 2) buffer of int64 grid corners or
+    float64 world positions: ring k is the view coords[offsets[k]:offsets[k+1]]."""
+
+    def __init__(self, coords: np.ndarray, offsets: np.ndarray):
+        coords.setflags(write=False)
+        offsets.setflags(write=False)
+        self.coords, self.offsets = coords, offsets
+
+    @classmethod
+    def of(cls, rings, dtype) -> RingSet:
+        """Pack hand-built rings with `dtype` coordinates; a RingSet passes through."""
+        if isinstance(rings, RingSet):
+            return rings
+        arrays = [np.asarray(r, dtype=dtype).reshape(-1, 2) for r in rings]
+        offsets = np.cumsum([0] + [len(a) for a in arrays], dtype=np.int64)
+        return cls(np.concatenate([np.empty((0, 2), dtype), *arrays]), offsets)
+
+    def __len__(self) -> int:
+        return len(self.offsets) - 1
+
+    def __getitem__(self, k: int) -> np.ndarray:
+        k = range(len(self))[k]  # negative indexes count from the end, as in a list
+        return self.coords[self.offsets[k] : self.offsets[k + 1]]
+
+    def __iter__(self):
+        # One tolist() instead of two numpy scalar lookups per ring.
+        for start, end in pairwise(self.offsets.tolist()):
+            yield self.coords[start:end]
+
+
 @dataclass
 class Polygon:
-    """One outer ring with its holes, both as indices into the ring lists."""
+    """One outer ring with its holes, both as indices into the ring set."""
 
     outer: int
     holes: list[int] = field(default_factory=list)
@@ -70,22 +99,24 @@ class Polygon:
 def form_rings(
     delineation: Delineation,
     transform: AffineTransform = IDENTITY,
-) -> tuple[list[GridRing], list[WorldRing]]:
-    """Convert circular vertex lists into closed rings, grid and world forms.
+) -> tuple[RingSet, RingSet]:
+    """Convert circular vertex lists into closed rings: int64 grid corners
+    and float64 world positions, two RingSets sharing one offsets array.
 
     Rings come out in entry-corner (scan) order, each closed by repeating
     its first coordinate, vertex for vertex. Every step turns: traced rings
     have no straight runs. World positions that overflow come out as
     non-finite floats, without a warning; the writers refuse them.
 
-    Raises RingTraversalError if the arena's fields differ in length,
-    next_ids is not a permutation of the vertices, an entry corner is not a
-    vertex, or some vertex is unreachable from every entry corner.
+    Raises RingTraversalError if an arena field is not integer, the fields
+    differ in length, next_ids is not a permutation of the vertices, an
+    entry corner is not a vertex, or no entry corner reaches some vertex.
     """
-    xs, ys, nxt, corners = (
-        np.asarray(a, dtype=np.int64)
-        for a in (delineation.xs, delineation.ys, delineation.next_ids, delineation.corners)
-    )
+    fields = {f: np.asarray(getattr(delineation, f)) for f in ("xs", "ys", "next_ids", "corners")}
+    for name, a in fields.items():
+        if a.size and a.dtype.kind not in "iu":
+            raise RingTraversalError(f"arena field {name} holds {a.dtype} values, not integers")
+    xs, ys, nxt, corners = (a.astype(np.int64, copy=False) for a in fields.values())
     n = len(nxt)
     problem = link_problem(nxt, corners)
     if not len(xs) == len(ys) == n:
@@ -97,7 +128,7 @@ def form_rings(
     nxt = memoryview(nxt)
     visited = bytearray(n)
     order = array.array("q")
-    bounds: list[int] = [0]
+    bounds = array.array("q", [0])
     append = order.append
     for corner in corners.tolist():
         if visited[corner]:
@@ -113,31 +144,18 @@ def form_rings(
     if len(order) != n:
         raise RingTraversalError(f"{n - len(order)} vertices unreachable from any entry corner")
 
-    # Materialize all rings in bulk: gather walk-ordered coordinates, insert
-    # each ring's closing point, then hand out per-ring views. Per-vertex
-    # Python work here would dominate the pipeline on large rasters.
+    # Materialize all rings in bulk: gather walk-ordered coordinates and
+    # insert each ring's closing point. Per-vertex or per-ring Python work
+    # here would dominate the pipeline on large rasters.
     walk = np.frombuffer(order, dtype=np.int64)
-    starts, ends = (np.asarray(b, dtype=np.intp) for b in (bounds[:-1], bounds[1:]))
-    closed = np.insert(walk, ends, walk[starts])
+    bounds = np.frombuffer(bounds, dtype=np.int64)
+    closed = np.insert(walk, bounds[1:], walk[bounds[:-1]])
     grid_coords = np.stack([xs[closed], ys[closed]], axis=1)
-    gx, gy = grid_coords.T
     with np.errstate(over="ignore", invalid="ignore"):
-        world_coords = np.stack(
-            [
-                transform.a * gx + transform.b * gy + transform.c,
-                transform.d * gx + transform.e * gy + transform.f,
-            ],
-            axis=1,
-        )
-    grid_coords.setflags(write=False)
-    world_coords.setflags(write=False)
-
+        world_coords = np.stack(transform.apply(*grid_coords.T), axis=1)
     # Ring k's closing point shifts every later ring by k.
-    offsets = [b + k for k, b in enumerate(bounds)]
-    return (
-        [grid_coords[s:e] for s, e in zip(offsets, offsets[1:])],
-        [world_coords[s:e] for s, e in zip(offsets, offsets[1:])],
-    )
+    offsets = bounds + np.arange(len(bounds))
+    return RingSet(grid_coords, offsets), RingSet(world_coords, offsets)
 
 
 def signed_area(ring) -> float:
@@ -173,14 +191,10 @@ def assemble_polygons(grid_rings) -> list[Polygon]:
     order. Raises TopologyError for zero-area rings (the lowest index is
     reported) and for holes that no exterior surrounds.
     """
-    rings = [np.asarray(r, dtype=np.int64).reshape(-1, 2) for r in grid_rings]
+    rings = RingSet.of(grid_rings, np.int64)
     n = len(rings)
-    if n == 0:
-        return []
-    lengths = np.fromiter((len(r) for r in rings), dtype=np.intp, count=n)
-    point_ring = np.repeat(np.arange(n), lengths)
-    coords = np.concatenate(rings)
-    x, y = coords[:, 0], coords[:, 1]
+    point_ring = np.repeat(np.arange(n), np.diff(rings.offsets))
+    x, y = rings.coords[:, 0], rings.coords[:, 1]
 
     # Steps between consecutive points, minus those that join one ring's
     # last point to the next ring's first.

@@ -43,7 +43,7 @@ class AffineTransform:
     f: float
 
     def apply(self, x: float, y: float) -> tuple[float, float]:
-        """Map a grid-corner coordinate to (longitude, latitude)."""
+        """Map grid-corner coordinates, scalars or arrays, to (longitude, latitude)."""
         return (self.a * x + self.b * y + self.c, self.d * x + self.e * y + self.f)
 
     @property

@@ -8,23 +8,35 @@ holes, so nothing is re-wound here.
 from __future__ import annotations
 
 import json
-from typing import Iterable
+from itertools import pairwise
 
 import numpy as np
 
-from .rings import Polygon, WorldRing
+from .rings import Polygon, RingSet
 
 __all__ = ["write_geojson", "write_timing_csv", "write_wkt"]
 
 
-def _check_closed(rings: Iterable[WorldRing]) -> None:
-    for i, ring in enumerate(rings):
-        if len(ring) < 2 or list(ring[0]) != list(ring[-1]):
-            raise ValueError(f"ring {i} is not closed (first position must equal last)")
+def _checked(world_rings) -> RingSet:
+    """The rings as a float RingSet. Raises ValueError naming the lowest ring
+    that is not closed, then the lowest ring with a non-finite position:
+    JSON and WKT have no NaN or Infinity."""
+    rings = RingSet.of(world_rings, float)
+    coords, starts, ends = rings.coords, rings.offsets[:-1], rings.offsets[1:]
+    closed = ends - starts >= 2
+    full = np.flatnonzero(closed)
+    closed[full] = (coords[starts[full]] == coords[ends[full] - 1]).all(axis=1)
+    if not closed.all():
+        raise ValueError(f"ring {np.argmin(closed)} is not closed (first position must equal last)")
+    finite = np.isfinite(coords).all(axis=1)
+    if not finite.all():
+        ring = np.searchsorted(rings.offsets, np.argmin(finite), side="right") - 1
+        raise ValueError(f"ring {ring} has a non-finite position")
+    return rings
 
 
 def write_geojson(
-    world_rings: list[WorldRing],
+    world_rings,
     polygons: list[Polygon] | None = None,
     crs: str | None = None,
     *,
@@ -36,8 +48,8 @@ def write_geojson(
     outer ring first and holes after it; without it, one LineString
     feature per ring. Positions are [longitude, latitude]. `crs` attaches a
     named CRS as a foreign member; coordinates are WGS84 lon/lat by
-    convention otherwise. Non-finite positions raise ValueError, since JSON
-    has no NaN or Infinity.
+    convention otherwise. Non-finite positions raise ValueError naming the
+    ring, since JSON has no NaN or Infinity.
 
     `mode` is the older spelling of the same choice, still passed by the
     benchmark's self-tests: "rings" ignores `polygons`, "polygons" needs it.
@@ -46,16 +58,15 @@ def write_geojson(
         raise ValueError(f"unknown GeoJSON mode {mode!r}")
     if mode == "polygons" and polygons is None:
         raise ValueError("mode='polygons' requires the polygon grouping")
-    _check_closed(world_rings)
+    rings = _checked(world_rings)
+    # One tolist() for all rings; JSON needs every position as a list anyway.
+    positions = rings.coords.tolist()
+    lists = [positions[s:e] for s, e in pairwise(rings.offsets.tolist())]
     if polygons is None or mode == "rings":
-        features = [_feature("LineString", _positions(ring)) for ring in world_rings]
+        features = [_feature("LineString", ring) for ring in lists]
     else:
         features = [
-            _feature(
-                "Polygon",
-                [_positions(world_rings[poly.outer])]
-                + [_positions(world_rings[h]) for h in poly.holes],
-            )
+            _feature("Polygon", [lists[poly.outer]] + [lists[h] for h in poly.holes])
             for poly in polygons
         ]
     collection: dict = {"type": "FeatureCollection", "features": features}
@@ -72,23 +83,13 @@ def _feature(geom_type: str, coordinates) -> dict:
     }
 
 
-def _positions(ring: WorldRing) -> list[list[float]]:
-    return np.asarray(ring, dtype=float).tolist()
-
-
-def write_wkt(world_rings: list[WorldRing], polygons: list[Polygon]) -> str:
+def write_wkt(world_rings, polygons: list[Polygon]) -> str:
     """Serialize polygons as WKT: POLYGON for one, MULTIPOLYGON otherwise.
-
-    Non-finite positions raise ValueError naming the ring, since WKT has no
-    NaN or Infinity.
-    """
-    _check_closed(world_rings)
+    Open rings and non-finite positions raise ValueError naming the ring."""
+    rings = _checked(world_rings)
+    # One ring's lists at a time: all at once take several times the text's memory.
     bodies = [
-        "("
-        + ", ".join(
-            _wkt_ring(world_rings, idx) for idx in [poly.outer] + list(poly.holes)
-        )
-        + ")"
+        "(" + ", ".join(_wkt_ring(rings[idx].tolist()) for idx in [poly.outer, *poly.holes]) + ")"
         for poly in polygons
     ]
     if not bodies:
@@ -98,12 +99,8 @@ def write_wkt(world_rings: list[WorldRing], polygons: list[Polygon]) -> str:
     return "MULTIPOLYGON (" + ", ".join(bodies) + ")"
 
 
-def _wkt_ring(world_rings: list[WorldRing], idx: int) -> str:
-    ring = np.asarray(world_rings[idx], dtype=float)
-    if not np.isfinite(ring).all():
-        raise ValueError(f"ring {idx} has a non-finite position")
-    pts = ring.tolist()
-    return "(" + ", ".join(f"{_num(lon)} {_num(lat)}" for lon, lat in pts) + ")"
+def _wkt_ring(positions: list[list[float]]) -> str:
+    return "(" + ", ".join(f"{_num(lon)} {_num(lat)}" for lon, lat in positions) + ")"
 
 
 def _num(v: float) -> str:

@@ -141,19 +141,30 @@ class TestDelineate:
             "exceeds the largest array dimension\n"
         )
 
-    def test_no_assemble_emits_raw_shells(self, tmp_path, capsys):
-        path = write_mask_file(tmp_path, b"P1\n3 3\n111101111")
-        assert cli.main(["delineate", "--input", path, "--no-assemble",
-                         "--format", "wkt"]) == 0
-        out = capsys.readouterr().out
-        assert out.startswith("MULTIPOLYGON (")
-        assert out.count("((") == 2  # hole emitted as its own shell
-
     def test_output_file(self, tmp_path):
         mask = write_mask_file(tmp_path, SINGLE_PIXEL_PBM)
         out = tmp_path / "out.json"
         assert cli.main(["delineate", "--input", mask, "--output", str(out)]) == 0
         assert json.loads(out.read_text())["type"] == "FeatureCollection"
+
+    def test_output_over_a_longer_file_replaces_all_of_it(self, tmp_path, capsys):
+        mask = write_mask_file(tmp_path, SINGLE_PIXEL_PBM)
+        out = tmp_path / "out.wkt"
+        out.write_text("x" * 1000)
+        out.chmod(0o640)
+        assert cli.main(["delineate", "--input", mask, "--format", "wkt",
+                         "--output", str(out)]) == 0
+        assert out.read_text() == "POLYGON ((0 0, 0 1, 1 1, 1 0, 0 0))\n"
+        assert out.stat().st_mode & 0o777 == 0o640
+
+    def test_output_to_a_device_that_cannot_be_truncated(self, tmp_path):
+        mask = write_mask_file(tmp_path, SINGLE_PIXEL_PBM)
+        assert cli.main(["delineate", "--input", mask, "--output", "/dev/null"]) == 0
+
+    def test_output_to_a_directory_exits_one(self, tmp_path, capsys):
+        mask = write_mask_file(tmp_path, SINGLE_PIXEL_PBM)
+        assert cli.main(["delineate", "--input", mask, "--output", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith("gridtrace: error: [Errno 21] Is a directory")
 
     def test_crs_passthrough(self, tmp_path, capsys):
         path = write_mask_file(tmp_path, SINGLE_PIXEL_PBM)
@@ -170,23 +181,29 @@ class TestDelineate:
         assert "topology" in capsys.readouterr().err
 
 
+    # Products overflow to infinity; overflowing products of opposite sign
+    # add up to NaN. The WKT cases carry the bare ids.
     @pytest.mark.parametrize(
-        "mask,terms",
+        "mask,terms,fmt",
         [
-            # Products overflow to infinity.
-            pytest.param(b"P1\n2 1\n11\n", "1e308 0 0 -1e308 0 0", id="inf"),
-            # Overflowing products of opposite sign add up to NaN.
-            pytest.param(b"P1\n2 2\n1111\n", "1e308 0 -1e308 -1e308 0 0", id="nan"),
+            pytest.param(b"P1\n2 1\n11\n", "1e308 0 0 -1e308 0 0", "wkt", id="inf"),
+            pytest.param(b"P1\n2 2\n1111\n", "1e308 0 -1e308 -1e308 0 0", "wkt", id="nan"),
+            pytest.param(
+                b"P1\n2 1\n11\n", "1e308 0 0 -1e308 0 0", "geojson", id="geojson-inf"
+            ),
+            pytest.param(
+                b"P1\n2 2\n1111\n", "1e308 0 -1e308 -1e308 0 0", "geojson", id="geojson-nan"
+            ),
         ],
     )
-    def test_non_finite_wkt_exits_one(self, tmp_path, capsys, mask, terms):
+    def test_non_finite_wkt_exits_one(self, tmp_path, capsys, mask, terms, fmt):
         mask = write_mask_file(tmp_path, mask)
         world = tmp_path / "mask.wld"
         world.write_text(terms.replace(" ", "\n") + "\n")
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             rc = cli.main(["delineate", "--input", mask, "--world", str(world),
-                           "--format", "wkt"])
+                           "--format", fmt])
         assert rc == 1
         out, err = capsys.readouterr()
         assert out == ""

@@ -55,6 +55,8 @@ class TestBitRaster:
         assert a == b
         assert a != c
         assert a != BitRaster(2, 2)
+        # Empty rasters differ by their dimensions alone.
+        assert BitRaster(3, 0) != BitRaster(0, 3) and BitRaster(0, 2) == BitRaster(0, 2)
 
 
 class TestBernoulli:
@@ -130,11 +132,24 @@ class TestPbmAscii:
 
 
 class TestPbmBinary:
-    @pytest.mark.parametrize("header", [b"P4\n%d 0\n", b"P4\n0 %d\n", b"P1\n%d 0\n"])
-    def test_dimension_beyond_any_array_is_a_header_error(self, header):
-        data = header % 10**23
-        with pytest.raises(MaskHeaderError, match=f"^dimension {10**23} exceeds"):
+    @pytest.mark.parametrize(
+        "data,shown",
+        [
+            pytest.param(b"P4\n%d 0\n" % 10**23, str(10**23), id="P4\n%d 0\n"),
+            pytest.param(b"P4\n0 %d\n" % 10**23, str(10**23), id="P4\n0 %d\n"),
+            pytest.param(b"P1\n%d 0\n" % 10**23, str(10**23), id="P1\n%d 0\n"),
+            # More digits than int() parses; the message echoes only 20.
+            pytest.param(
+                b"P1\n" + b"9" * 5000 + b" 0\n", "9" * 20 + r"\.\.\.", id="P1-5000-digits"
+            ),
+        ],
+    )
+    def test_dimension_beyond_any_array_is_a_header_error(self, data, shown):
+        with pytest.raises(
+            MaskHeaderError, match=f"^dimension {shown} exceeds the largest array dimension$"
+        ) as err:
             parse_mask(data, sniff_mask_format(data))
+        assert len(str(err.value)) <= 80
 
     def test_basic_padded_rows(self):
         # 9 wide: two bytes per row, second byte uses only its top bit

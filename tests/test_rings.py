@@ -7,6 +7,7 @@ from gridtrace import (
     BitRaster,
     Delineation,
     Polygon,
+    RingSet,
     RingTraversalError,
     TopologyError,
     assemble_polygons,
@@ -31,7 +32,7 @@ class TestFormRings:
 
     def test_empty(self):
         grid, world = form_rings(detect(BitRaster(4, 4)))
-        assert grid == [] and world == []
+        assert len(grid) == 0 and len(world) == 0
 
     def test_diagonal_pixels_two_rings_sharing_corner(self):
         grid, _ = rings_of(["10", "01"])
@@ -98,8 +99,10 @@ class TestFormRings:
             ([1, 5], [3], "^vertex 1 is unlinked: its successor 5 is not in 0..1$"),
             ([1, 0], [0, 2], "^entry corner 2 is not a vertex in 0..1$"),
             ([1, 2, 0], [0], "^arena has 2 xs, 2 ys and 3 next_ids$"),
+            ([1, 10**30], [0], "^arena field next_ids holds object values, not integers$"),
+            ([1, 0.5], [0], "^arena field next_ids holds float64 values, not integers$"),
         ],
-        ids=["link", "link-and-corner", "corner", "lengths"],
+        ids=["link", "link-and-corner", "corner", "lengths", "beyond-int64", "float"],
     )
     def test_out_of_range_index_aborts(self, next_ids, corners, message):
         bad = Delineation(xs=[0, 1], ys=[0, 0], next_ids=next_ids, corners=corners)
@@ -111,6 +114,41 @@ class TestFormRings:
         as_lists = Delineation(*(a.tolist() for a in (d.xs, d.ys, d.next_ids, d.corners)))
         for got, want in zip(form_rings(as_lists), form_rings(d)):
             assert [r.tolist() for r in got] == [r.tolist() for r in want]
+
+
+class TestRingSet:
+    def test_reads_like_a_list_of_rings(self):
+        grid, world = rings_of(["10", "01"])
+        second = [[1, 1], [1, 2], [2, 2], [2, 1], [1, 1]]
+        assert len(grid) == len(world) == 2
+        assert [r.tolist() for r in grid] == [grid[0].tolist(), second]
+        assert grid[-1].tolist() == second and grid[-2].tolist() == grid[0].tolist()
+        for k in (2, -3):
+            with pytest.raises(IndexError):
+                grid[k]
+        assert np.array_equal(np.concatenate(grid), grid.coords)
+        assert np.array_equal(np.concatenate(world), grid.coords)
+        assert grid.offsets.tolist() == [0, 5, 10] and world.offsets is grid.offsets
+        assert (grid.coords.dtype, world.coords.dtype) == (np.int64, np.float64)
+
+    def test_of_packs_lists_and_passes_ring_sets_through(self):
+        square = [(0, 0), (0, 1), (1, 1), (1, 0), (0, 0)]
+        rings = RingSet.of([square, [], np.array(square) + 2], np.int64)
+        assert rings.offsets.tolist() == [0, 5, 5, 10]
+        assert [r.tolist() for r in rings] == [
+            [list(p) for p in square], [], [[x + 2, y + 2] for x, y in square]
+        ]
+        assert RingSet.of(rings, np.int64) is rings
+        empty = RingSet.of([], float)
+        assert len(empty) == 0 and empty.coords.shape == (0, 2)
+
+    def test_coordinates_and_rings_are_read_only(self):
+        grid, world = rings_of(["1"])
+        for rings in (grid, world, RingSet.of([[(0, 0), (0, 0)]], float)):
+            for arr in (rings.coords, rings.offsets, rings[0], next(iter(rings))):
+                assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                rings[0][0, 0] = 7
 
 
 class TestSignedArea:

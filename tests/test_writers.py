@@ -1,6 +1,7 @@
 import json
 import re
 
+import numpy as np
 import pytest
 
 from gridtrace import (
@@ -66,7 +67,7 @@ class TestGeojson:
 
     def test_non_finite_positions_rejected(self):
         ring = [(0.0, 0.0), (float("inf"), 1.0), (0.0, 1.0), (0.0, 0.0)]
-        with pytest.raises(ValueError, match="JSON compliant"):
+        with pytest.raises(ValueError, match="^ring 0 has a non-finite position$"):
             write_geojson([ring])
 
     def test_rings_without_grouping_polygons_with_it(self):
@@ -172,3 +173,15 @@ class TestTimingCsv:
             for i in range(11)
         ]
         assert len(write_timing_csv(records).splitlines()) == 34
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_ring_set_and_list_of_arrays_give_the_same_output(seed):
+    tr = AffineTransform(0.25, 0.0, -30.0, 0.0, -0.25, 60.0)
+    grid, world = form_rings(detect(bernoulli(24, 20, 0.1 + 0.15 * seed, 500 + seed)), tr)
+    grid_list, world_list = ([np.array(r) for r in rings] for rings in (grid, world))
+    polygons = assemble_polygons(grid)
+    assert assemble_polygons(grid_list) == polygons
+    assert write_geojson(world_list, polygons) == write_geojson(world, polygons)
+    assert write_geojson(world_list) == write_geojson(world)
+    assert write_wkt(world_list, polygons) == write_wkt(world, polygons)
