@@ -54,8 +54,9 @@ class BitRaster:
     __slots__ = ("width", "height", "_bits")
 
     def __init__(self, width: int, height: int, bits=None):
-        if width < 0 or height < 0:
-            raise ValueError(f"raster dimensions must be non-negative, got {width}x{height}")
+        for name, d in (("width", width), ("height", height)):
+            if not 0 <= d <= _MAX_DIMENSION:
+                raise ValueError(f"raster {name} {d} is not from 0 to {_MAX_DIMENSION}")
         self.width = int(width)
         self.height = int(height)
         if bits is None:

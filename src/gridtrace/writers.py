@@ -1,5 +1,8 @@
 """Serialize traced rings to GeoJSON, WKT, and benchmark tables to CSV.
 
+Each distinct coordinate value is formatted once, and numpy indexing picks
+its token for every position; GeoJSON has the same bytes as json.dumps gives.
+
 Ring winding is passed through untouched: with a north-up transform the
 traced orientation already gives counterclockwise exteriors and clockwise
 holes, so nothing is re-wound here.
@@ -59,39 +62,25 @@ def write_geojson(
     if mode == "polygons" and polygons is None:
         raise ValueError("mode='polygons' requires the polygon grouping")
     rings = _checked(world_rings)
-    # One tolist() for all rings; JSON needs every position as a list anyway.
-    positions = rings.coords.tolist()
-    lists = [positions[s:e] for s, e in pairwise(rings.offsets.tolist())]
     if polygons is None or mode == "rings":
-        features = [_feature("LineString", ring) for ring in lists]
+        features = _ring_texts(rings, _json_numbers, "[%s, %s]", _FEATURE % "LineString")
     else:
-        features = [
-            _feature("Polygon", [lists[poly.outer]] + [lists[h] for h in poly.holes])
-            for poly in polygons
-        ]
-    collection: dict = {"type": "FeatureCollection", "features": features}
-    if crs is not None:
-        collection["crs"] = crs
-    return json.dumps(collection, allow_nan=False)
+        texts = _ring_texts(rings, _json_numbers, "[%s, %s]", "[%s]")
+        features = _polygon_texts(texts, polygons, _FEATURE % "Polygon")
+        del texts  # the features hold a copy
+    crs_member = "" if crs is None else ', "crs": ' + json.dumps(crs, allow_nan=False)
+    return '{"type": "FeatureCollection", "features": [' + ", ".join(features) + "]" + crs_member + "}"
 
 
-def _feature(geom_type: str, coordinates) -> dict:
-    return {
-        "type": "Feature",
-        "geometry": {"type": geom_type, "coordinates": coordinates},
-        "properties": {},
-    }
+_FEATURE = '{"type": "Feature", "geometry": {"type": "%s", "coordinates": [%%s]}, "properties": {}}'
 
 
 def write_wkt(world_rings, polygons: list[Polygon]) -> str:
     """Serialize polygons as WKT: POLYGON for one, MULTIPOLYGON otherwise.
     Open rings and non-finite positions raise ValueError naming the ring."""
-    rings = _checked(world_rings)
-    # One ring's lists at a time: all at once take several times the text's memory.
-    bodies = [
-        "(" + ", ".join(_wkt_ring(rings[idx].tolist()) for idx in [poly.outer, *poly.holes]) + ")"
-        for poly in polygons
-    ]
+    texts = _ring_texts(_checked(world_rings), _wkt_numbers, "%s %s", "(%s)")
+    bodies = _polygon_texts(texts, polygons, "(%s)")
+    del texts  # the bodies hold a copy
     if not bodies:
         return "MULTIPOLYGON EMPTY"
     if len(bodies) == 1:
@@ -99,12 +88,32 @@ def write_wkt(world_rings, polygons: list[Polygon]) -> str:
     return "MULTIPOLYGON (" + ", ".join(bodies) + ")"
 
 
-def _wkt_ring(positions: list[list[float]]) -> str:
-    return "(" + ", ".join(f"{_num(lon)} {_num(lat)}" for lon, lat in positions) + ")"
+def _ring_texts(rings: RingSet, numbers, position: str, ring: str) -> list[str]:
+    """Each ring's text in the `ring` template, of positions in the `position`
+    template. `numbers` turns a column's distinct values, told apart by their
+    bits in its own dtype so that -0.0 keeps its sign, into their tokens."""
+    head, mid, tail = position.split("%s")
+    pieces = np.empty(2 * len(rings.coords), dtype=object)
+    affixes = [(", " + head, mid), ("", tail)]  # each ring's text drops its first ", "
+    for i, (col, (before, after)) in enumerate(zip(rings.coords.T, affixes, strict=True)):
+        keys, inverse = np.unique(col.view(f"i{col.itemsize}"), return_inverse=True)
+        tokens = [before + t + after for t in numbers(keys.view(col.dtype).tolist())]
+        pieces[i::2] = np.array(tokens, dtype=object)[inverse]
+    pieces = pieces.tolist()
+    return [ring % "".join(pieces[2 * s : 2 * e])[2:] for s, e in pairwise(rings.offsets.tolist())]
 
 
-def _num(v: float) -> str:
-    return str(int(v)) if float(v).is_integer() else repr(v)
+def _polygon_texts(texts: list[str], polygons: list[Polygon], template: str) -> list[str]:
+    return [template % ", ".join([texts[p.outer], *[texts[h] for h in p.holes]]) for p in polygons]
+
+
+def _json_numbers(values: list) -> list[str]:
+    """The tokens json.dumps writes for the values, from one call."""
+    return json.dumps(values)[1:-1].split(", ")
+
+
+def _wkt_numbers(values: list) -> list[str]:
+    return [str(int(v)) if float(v).is_integer() else repr(v) for v in values]
 
 
 def write_timing_csv(records) -> str:

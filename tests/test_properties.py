@@ -4,12 +4,19 @@ Examples are derandomized, so every run checks the same inputs, and sizes
 stay small so the module takes a few seconds.
 """
 
+import contextlib
+import io
+import json
+import math
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import HealthCheck, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
@@ -23,6 +30,8 @@ from gridtrace import (  # noqa: E402
     sniff_mask_format,
     write_mask,
 )
+from gridtrace.cli import main  # noqa: E402
+from gridtrace.raster import MASK_FORMATS  # noqa: E402
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
@@ -84,3 +93,57 @@ def test_arbitrary_bytes_raise_only_mask_errors(data):
 def test_traced_rings_fill_back_to_the_mask(raster):
     grid, _ = form_rings(detect(raster))
     assert rasterize_even_odd(grid, raster.width, raster.height) == raster
+
+
+# World files: arbitrary bytes, or six numbers that may be non-finite, huge
+# enough to overflow the transform, or make it degenerate.
+_terms = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 1e308, -1e308, 5e-324, math.inf, math.nan]),
+    st.floats(),
+)
+WORLD_BYTES = st.one_of(
+    st.binary(max_size=40),
+    st.lists(_terms, min_size=6, max_size=6).map(lambda v: "\n".join(map(repr, v)).encode()),
+)
+
+
+def _refuse(constant):
+    raise AssertionError(f"{constant} in JSON output")
+
+
+@settings(PROPERTY, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@pytest.mark.filterwarnings("error")
+@given(
+    mask=st.one_of(
+        MASK_BYTES, st.builds(write_mask, rasters(max_side=6), st.sampled_from(MASK_FORMATS))
+    ),
+    world=st.none() | WORLD_BYTES,
+    format=st.sampled_from(["geojson", "wkt", "rings-geojson"]),
+    crs=st.none() | st.text(max_size=6),
+)
+def test_delineate_exits_zero_or_one_with_one_line_of_error(tmp_path, mask, world, format, crs):
+    # New files for every example: truncating a file and rewriting it can wait for writeback.
+    here = Path(tempfile.mkdtemp(dir=tmp_path))
+    (here / "mask").write_bytes(mask)
+    out = here / "out"
+    argv = ["delineate", "--input", str(here / "mask"), "--format", format, "--output", str(out)]
+    if world is not None:
+        (here / "world").write_bytes(world)
+        argv += ["--world", str(here / "world")]
+    if crs is not None:
+        argv.append(f"--crs={crs}")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(argv)
+    err = err.getvalue()
+    if code == 0:
+        assert err == ""
+        text = out.read_text()
+        if format == "wkt":
+            assert text.startswith(("POLYGON (", "MULTIPOLYGON "))
+        else:
+            json.loads(text, parse_constant=_refuse)  # JSON has no NaN or Infinity
+    else:
+        assert code == 1
+        assert err.startswith("gridtrace: error: ") and err.endswith("\n")
+        assert err.count("\n") == 1 and "Traceback" not in err

@@ -40,6 +40,15 @@ class TestBitRaster:
         with pytest.raises(ValueError):
             BitRaster(-1, 2)
 
+    @pytest.mark.parametrize(
+        "width,height,name",
+        [(10**23, 0, "width"), (0, 10**23, "height"), (0, -1, "height"), (2**63, 2**63, "width")],
+    )
+    def test_dimension_beyond_any_array_names_it(self, width, height, name):
+        value = width if name == "width" else height
+        with pytest.raises(ValueError, match=f"^raster {name} {value} is not from 0 to {np.iinfo(np.intp).max}$"):
+            BitRaster(width, height)
+
     def test_bits_shape_must_match(self):
         with pytest.raises(ValueError):
             BitRaster(2, 2, np.zeros((2, 3), dtype=bool))

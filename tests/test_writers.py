@@ -8,6 +8,7 @@ from gridtrace import (
     AffineTransform,
     BitRaster,
     Polygon,
+    RingSet,
     TimingRecord,
     assemble_polygons,
     bernoulli,
@@ -185,3 +186,92 @@ def test_ring_set_and_list_of_arrays_give_the_same_output(seed):
     assert write_geojson(world_list, polygons) == write_geojson(world, polygons)
     assert write_geojson(world_list) == write_geojson(world)
     assert write_wkt(world_list, polygons) == write_wkt(world, polygons)
+
+
+# Byte-identity references: the FeatureCollection as json.dumps writes it,
+# and WKT formatted position by position.
+NORTH_UP = AffineTransform(0.00025, 0.0, 12.5, 0.0, -0.00025, 48.1)
+ROTATED = AffineTransform(0.3, 0.1, -5.0, 0.07, -0.25, 3.0)
+
+
+def reference_geojson(rings, polygons=None, crs=None):
+    lists = [ring.tolist() for ring in RingSet.of(rings, float)]
+    if polygons is None:
+        geometries = [("LineString", ring) for ring in lists]
+    else:
+        geometries = [("Polygon", [lists[p.outer], *[lists[h] for h in p.holes]]) for p in polygons]
+    features = [
+        {"type": "Feature", "geometry": {"type": kind, "coordinates": coords}, "properties": {}}
+        for kind, coords in geometries
+    ]
+    collection = {"type": "FeatureCollection", "features": features}
+    if crs is not None:
+        collection["crs"] = crs
+    return json.dumps(collection, allow_nan=False)
+
+
+def reference_wkt(rings, polygons):
+    def num(v):
+        return str(int(v)) if float(v).is_integer() else repr(v)
+
+    lists = [ring.tolist() for ring in RingSet.of(rings, float)]
+    texts = ["(" + ", ".join(f"{num(x)} {num(y)}" for x, y in ring) + ")" for ring in lists]
+    bodies = ["(" + ", ".join(texts[i] for i in [p.outer, *p.holes]) + ")" for p in polygons]
+    if not bodies:
+        return "MULTIPOLYGON EMPTY"
+    if len(bodies) == 1:
+        return f"POLYGON {bodies[0]}"
+    return "MULTIPOLYGON (" + ", ".join(bodies) + ")"
+
+
+def assert_byte_identical(rings, polygons, crs=None):
+    for text, expected in [
+        (write_geojson(rings, polygons, crs), reference_geojson(rings, polygons, crs)),
+        (write_geojson(rings, crs=crs), reference_geojson(rings, crs=crs)),
+    ]:
+        assert text == expected
+        json.loads(text)
+    assert write_wkt(rings, polygons) == reference_wkt(rings, polygons)
+
+
+class TestByteIdentity:
+    @pytest.mark.parametrize("transform", [NORTH_UP, ROTATED], ids=["north-up", "rotated"])
+    @pytest.mark.parametrize("seed,p", [(1, 0.3), (2, 0.5), (3, 0.7), (4, 0.05)])
+    def test_random_masks(self, transform, seed, p):
+        grid, world = form_rings(detect(bernoulli(40, 30, p, 900 + seed)), transform)
+        assert_byte_identical(world, assemble_polygons(grid))
+
+    @pytest.mark.parametrize("crs", ["EPSG:32633", "caf\u00e9 \"quoted\"\n"])
+    def test_crs(self, crs):
+        grid, world = form_rings(detect(bernoulli(12, 12, 0.5, 7)), NORTH_UP)
+        assert_byte_identical(world, assemble_polygons(grid), crs)
+        assert write_geojson([], crs=crs) == reference_geojson([], crs=crs)
+
+    def test_negative_zero_and_large_values(self):
+        outer = [(0.0, -0.0), (-0.0, 1e20), (1.5, 1e20), (1.5, 0.0), (0.0, -0.0)]
+        hole = [(-0.0, 0.0), (1e-300, 2.0), (3.0, 0.1), (-0.0, 0.0)]
+        polygons = [Polygon(0, [1]), Polygon(1)]
+        assert_byte_identical([outer, hole], polygons)
+        assert "[0.0, -0.0], [-0.0, 1e+20]" in write_geojson([outer, hole])
+        assert "(0 0, 0 100000000000000000000, 1.5 100000000000000000000" in write_wkt(
+            [outer, hole], polygons
+        )
+
+    def test_int64_grid_ring_set(self):
+        grid, _ = form_rings(detect(bernoulli(16, 16, 0.5, 11)))
+        assert grid.coords.dtype == np.int64
+        assert_byte_identical(grid, assemble_polygons(grid))
+        assert write_geojson(grid).startswith(
+            '{"type": "FeatureCollection", "features": [{"type": "Feature", '
+            '"geometry": {"type": "LineString", "coordinates": [[0, '
+        )
+
+    def test_float32_ring_set(self):
+        grid, world = form_rings(detect(bernoulli(16, 16, 0.5, 12)), ROTATED)
+        narrow = RingSet(world.coords.astype(np.float32), world.offsets)
+        assert_byte_identical(narrow, assemble_polygons(grid))
+        assert "0.10000000149011612" in write_geojson(RingSet.of([[(0.1, 0.0)] * 2], np.float32))
+
+    def test_empty_collection(self):
+        assert_byte_identical([], [])
+        assert_byte_identical(RingSet.of([], float), [])
