@@ -6,7 +6,11 @@ the grid always come back unmarked, so downstream window scans need no
 sentinel rows.
 
 Supported file formats: PBM P1 (plain text), PBM P4 (packed binary, rows
-padded to byte boundaries), and a bare ASCII grid of '0'/'1' rows.
+padded to byte boundaries), and a bare ASCII grid of '0'/'1' rows. The text
+payloads are read whole: numpy maps every byte through a byte-class table
+and counts, checks and picks the digits in array passes, so no Python code
+runs per byte. `verify` keeps per-byte parsers of both text formats as
+oracles for them.
 """
 
 from __future__ import annotations
@@ -27,6 +31,15 @@ __all__ = [
 
 MASK_FORMATS = ("pbm-ascii", "pbm-binary", "ascii-grid")
 _MAX_DIMENSION = np.iinfo(np.intp).max
+
+# The class of every byte in a text payload: whitespace as bytes.isspace
+# defines it (space, \t, \n, \v, \f, \r), the digits 0 and 1, or any other
+# byte. Whitespace is 0 and the digits 1, so a run of classes with no other
+# byte in it reads as the digit mask through a bool view.
+_SPACE, _DIGIT, _OTHER = 0, 1, 2
+_BYTE_CLASS = np.full(256, _OTHER, np.uint8)
+_BYTE_CLASS[list(b" \t\n\v\f\r")] = _SPACE
+_BYTE_CLASS[list(b"01")] = _DIGIT
 
 
 class MaskError(ValueError):
@@ -143,11 +156,10 @@ def write_mask(raster: BitRaster, format: str = "pbm-binary") -> bytes:
         return f"P4\n{w} {h}\n".encode() + packed.tobytes()
     if format not in ("pbm-ascii", "ascii-grid"):
         raise ValueError(f"unknown mask format {format!r}")
-    rows = b"".join(
-        "".join("1" if v else "0" for v in row).encode() + b"\n"
-        for row in raster._bits.tolist()
-    )
-    return (f"P1\n{w} {h}\n".encode() if format == "pbm-ascii" else b"") + rows
+    text = np.full((h, w + 1), ord("\n"), np.uint8)
+    text[:, :w] = raster._bits
+    text[:, :w] += ord("0")
+    return (f"P1\n{w} {h}\n".encode() if format == "pbm-ascii" else b"") + text.tobytes()
 
 
 def _tokenize_pbm_header(data: bytes, count: int) -> tuple[list[bytes], int]:
@@ -194,11 +206,17 @@ def _parse_pbm_dim(token: bytes) -> int:
     return d
 
 
-def _parse_pbm_ascii(data: bytes) -> BitRaster:
+def _pbm_header(data: bytes, magic: bytes) -> tuple[int, int, int]:
+    """The width, height and payload offset of a PBM file with this magic."""
     tokens, offset = _tokenize_pbm_header(data, 3)
-    if tokens[0] != b"P1":
-        raise MaskHeaderError(f"expected P1 magic, got {_clip(tokens[0])!r}")
+    if tokens[0] != magic:
+        raise MaskHeaderError(f"expected {magic.decode()} magic, got {_clip(tokens[0])!r}")
     w, h = map(_parse_pbm_dim, tokens[1:3])
+    return w, h, offset
+
+
+def _parse_pbm_ascii(data: bytes) -> BitRaster:
+    w, h, offset = _pbm_header(data, b"P1")
     need = w * h
     # Every pixel takes at least one byte, so a header that promises more
     # pixels than there are payload bytes is rejected before allocating.
@@ -206,29 +224,32 @@ def _parse_pbm_ascii(data: bytes) -> BitRaster:
         raise MaskTruncatedError(
             f"payload has {len(data) - offset} bytes, too few for {w}x{h} pixels"
         )
-    values = np.empty(need, dtype=bool)
-    got = 0
-    for i in range(offset, len(data)):
-        ch = data[i]
-        if ch in (48, 49):  # '0' / '1'
-            if got == need:
-                raise MaskDimensionError(f"more than {need} pixels for {w}x{h}")
-            values[got] = ch == 49
-            got += 1
-        elif data[i : i + 1].isspace():
-            continue
-        else:
-            raise MaskError(f"unexpected byte {data[i:i+1]!r} in P1 payload")
+    payload = np.frombuffer(data, np.uint8, offset=offset)
+    classes = _BYTE_CLASS[payload]
+    # The first problem in byte order wins: an other byte, or the digit
+    # after the last pixel, whichever comes first.
+    first = int(classes.argmax()) if classes.size else 0
+    stop = first if classes.size and classes[first] == _OTHER else classes.size
+    digits = classes[:stop].view(bool)
+    got = np.count_nonzero(digits)
+    if got > need:
+        at = offset + int(np.flatnonzero(digits)[need])
+        raise MaskDimensionError(
+            f"more than {need} pixels for {w}x{h}: digit {need + 1} at byte {at} of the P1 file"
+        )
+    if stop < classes.size:
+        at = offset + stop
+        raise MaskError(f"unexpected byte {data[at : at + 1]!r} at byte {at} of the P1 file")
     if got < need:
         raise MaskTruncatedError(f"payload has {got} pixels, expected {need}")
-    return BitRaster(w, h, values.reshape(h, w))
+    values = payload[digits]
+    del classes, digits
+    values &= 1  # '0' and '1' differ in the low bit alone
+    return BitRaster(w, h, values.view(bool).reshape(h, w))
 
 
 def _parse_pbm_binary(data: bytes) -> BitRaster:
-    tokens, offset = _tokenize_pbm_header(data, 3)
-    if tokens[0] != b"P4":
-        raise MaskHeaderError(f"expected P4 magic, got {_clip(tokens[0])!r}")
-    w, h = map(_parse_pbm_dim, tokens[1:3])
+    w, h, offset = _pbm_header(data, b"P4")
     row_bytes = (w + 7) // 8
     need = row_bytes * h
     payload = data[offset:]
@@ -244,18 +265,38 @@ def _parse_pbm_binary(data: bytes) -> BitRaster:
 
 
 def _parse_ascii_grid(data: bytes) -> BitRaster:
-    text = data.decode("latin-1")
-    lines = [line[:-1] if line.endswith("\r") else line for line in text.split("\n")]
-    while lines and lines[-1] == "":
-        lines.pop()
-    if not lines:
+    buf = np.frombuffer(data, np.uint8)
+    newlines = np.flatnonzero(buf == ord("\n"))
+    starts = np.concatenate(([0], newlines + 1))
+    ends = np.append(newlines, buf.size)
+    # One carriage return per line is part of its line end.
+    filled = np.flatnonzero(ends > starts)
+    crs = filled[buf[ends[filled] - 1] == ord("\r")]
+    ends[crs] -= 1
+    filled = np.flatnonzero(ends > starts)
+    if not filled.size:
         return BitRaster(0, 0)
-    w = len(lines[0])
-    for i, line in enumerate(lines):
-        if len(line) != w:
-            raise MaskDimensionError(f"row {i} has {len(line)} columns, expected {w}")
-        bad = set(line) - {"0", "1"}
-        if bad:
-            raise MaskError(f"invalid characters {sorted(bad)} in row {i}")
-    bits = np.array([[ch == "1" for ch in line] for line in lines], dtype=bool)
-    return BitRaster(w, len(lines), bits.reshape(len(lines), w))
+    h = int(filled[-1]) + 1  # trailing empty lines are no rows
+    starts, widths = starts[:h], (ends - starts)[:h]
+    w = int(widths[0])
+    digits = _BYTE_CLASS[buf] == _DIGIT
+    bad = ~digits
+    bad[newlines] = False
+    bad[ends[crs]] = False
+    first = int(bad.argmax())
+    # The first bad row wins; within a row the width comes first.
+    wide = np.flatnonzero(widths != w)
+    row = int(wide[0]) if wide.size else h
+    if bad[first]:
+        row = min(row, int(np.searchsorted(starts, first, side="right")) - 1)
+    if row < h:
+        if widths[row] != w:
+            raise MaskDimensionError(f"row {row} has {widths[row]} columns, expected {w}")
+        line = data[starts[row] : starts[row] + widths[row]].decode("latin-1")
+        raise MaskError(f"invalid characters {sorted(set(line) - {'0', '1'})} in row {row}")
+    del bad
+    # Every byte outside the rows is a line end, so the digits are the pixels.
+    values = buf[digits]
+    del digits
+    values &= 1
+    return BitRaster(w, h, values.view(bool).reshape(h, w))

@@ -59,9 +59,33 @@ class TopologyError(ValueError):
 
 class RingSet(Sequence):
     """Closed rings in one read-only (N, 2) buffer of int64 grid corners or
-    float64 world positions: ring k is the view coords[offsets[k]:offsets[k+1]]."""
+    float64 world positions: ring k is the view coords[offsets[k]:offsets[k+1]].
+
+    A hand-built buffer may hold any bools, ints or floats of at most 8
+    bytes. Raises ValueError naming the problem for any other buffer, or
+    for offsets that are not 1-D integers rising from 0 to N."""
 
     def __init__(self, coords: np.ndarray, offsets: np.ndarray):
+        if coords.ndim != 2 or coords.shape[1] != 2:
+            raise ValueError(f"ring coordinates have shape {coords.shape}, not (N, 2)")
+        if coords.dtype.kind not in "biuf" or coords.dtype.itemsize > 8:
+            raise ValueError(
+                f"ring coordinates hold {coords.dtype} values,"
+                " not ints or floats of at most 8 bytes"
+            )
+        if offsets.ndim != 1 or offsets.dtype.kind not in "iu":
+            raise ValueError(
+                f"ring offsets are {offsets.dtype} of shape {offsets.shape}, not 1-D integers"
+            )
+        if not len(offsets) or offsets[0] != 0 or offsets[-1] != len(coords):
+            span = f"run from {offsets[0]} to {offsets[-1]}" if len(offsets) else "are empty"
+            raise ValueError(f"ring offsets {span}, not from 0 to {len(coords)}")
+        shrinking = np.flatnonzero(offsets[1:] < offsets[:-1])
+        if shrinking.size:
+            k = shrinking[0]
+            raise ValueError(
+                f"ring {k} ends at offset {offsets[k + 1]}, before its start {offsets[k]}"
+            )
         coords.setflags(write=False)
         offsets.setflags(write=False)
         self.coords, self.offsets = coords, offsets

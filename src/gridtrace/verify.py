@@ -1,24 +1,34 @@
-"""Brute-force oracles for certifying traced rings against the source mask.
+"""Brute-force oracles for certifying the fast paths: traced rings against
+the source mask, and the text mask parsers against per-byte readers.
 
-These deliberately share no logic with the fast paths in `trace` and
-`rings`: pixels and window codes are read one at a time, boundary edges
+These deliberately share no logic with the fast paths in `raster`, `trace`
+and `rings`: pixels and window codes are read one at a time, boundary edges
 are enumerated straight off the pixel grid, rasterization casts rays
-against ring segments, and hole assembly ray-casts every hole against
-every exterior. All are meant for tests and verification runs, not for
-speed.
+against ring segments, hole assembly ray-casts every hole against every
+exterior, and the P1 and ASCII-grid payloads are read one byte at a time
+(the PBM header reader, which reads byte by byte anyway, is shared). All
+are meant for tests and verification runs, not for speed.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .raster import BitRaster
+from .raster import (
+    BitRaster,
+    MaskDimensionError,
+    MaskError,
+    MaskTruncatedError,
+    _pbm_header,
+)
 from .rings import Polygon, TopologyError
 
 __all__ = [
     "assemble_polygons_bruteforce",
     "boundary_edges",
     "classify_window",
+    "parse_ascii_grid_bruteforce",
+    "parse_pbm_ascii_bruteforce",
     "pixel_at",
     "rasterize_even_odd",
     "unit_edges",
@@ -187,3 +197,52 @@ def _point_in_ring(px: float, py: float, ring: np.ndarray) -> bool:
     hi = np.maximum(y0, y1)
     crossings = int((vertical & (lo < py) & (py < hi)).sum())
     return crossings % 2 == 1
+
+
+def parse_pbm_ascii_bruteforce(data: bytes) -> BitRaster:
+    """Reference for P1 parsing, one payload byte at a time: the same bits,
+    or the same exception class and message."""
+    w, h, offset = _pbm_header(data, b"P1")
+    need = w * h
+    if len(data) - offset < need:
+        raise MaskTruncatedError(
+            f"payload has {len(data) - offset} bytes, too few for {w}x{h} pixels"
+        )
+    values = np.empty(need, dtype=bool)
+    got = 0
+    for i in range(offset, len(data)):
+        ch = data[i]
+        if ch in (48, 49):  # '0' / '1'
+            if got == need:
+                raise MaskDimensionError(
+                    f"more than {need} pixels for {w}x{h}:"
+                    f" digit {need + 1} at byte {i} of the P1 file"
+                )
+            values[got] = ch == 49
+            got += 1
+        elif data[i : i + 1].isspace():
+            continue
+        else:
+            raise MaskError(f"unexpected byte {data[i:i+1]!r} at byte {i} of the P1 file")
+    if got < need:
+        raise MaskTruncatedError(f"payload has {got} pixels, expected {need}")
+    return BitRaster(w, h, values.reshape(h, w))
+
+
+def parse_ascii_grid_bruteforce(data: bytes) -> BitRaster:
+    """Reference for ASCII-grid parsing, one line and character at a time."""
+    text = data.decode("latin-1")
+    lines = [line[:-1] if line.endswith("\r") else line for line in text.split("\n")]
+    while lines and lines[-1] == "":
+        lines.pop()
+    if not lines:
+        return BitRaster(0, 0)
+    w = len(lines[0])
+    for i, line in enumerate(lines):
+        if len(line) != w:
+            raise MaskDimensionError(f"row {i} has {len(line)} columns, expected {w}")
+        bad = set(line) - {"0", "1"}
+        if bad:
+            raise MaskError(f"invalid characters {sorted(bad)} in row {i}")
+    bits = np.array([[ch == "1" for ch in line] for line in lines], dtype=bool)
+    return BitRaster(w, len(lines), bits.reshape(len(lines), w))

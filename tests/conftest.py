@@ -2,8 +2,22 @@
 
 import numpy as np
 
-from gridtrace import BitRaster, signed_area
-from gridtrace.verify import unit_edges
+from gridtrace import BitRaster, MaskError, signed_area
+from gridtrace.verify import parse_ascii_grid_bruteforce, parse_pbm_ascii_bruteforce, unit_edges
+
+# The per-byte oracle of each text mask format.
+TEXT_ORACLES = {
+    "pbm-ascii": parse_pbm_ascii_bruteforce,
+    "ascii-grid": parse_ascii_grid_bruteforce,
+}
+
+
+def parse_outcome(parse, *args):
+    """The raster a parser returns, or the class and message of its MaskError."""
+    try:
+        return parse(*args)
+    except MaskError as e:
+        return type(e), str(e)
 
 
 def raster_from_int(width: int, height: int, mask: int) -> BitRaster:

@@ -21,9 +21,11 @@ from gridtrace import (
     boundary_edges,
     detect,
     form_rings,
+    parse_mask,
     rasterize_even_odd,
     run_experiment,
     signed_area,
+    write_mask,
 )
 from gridtrace.verify import unit_edges
 
@@ -220,4 +222,31 @@ def test_assembly_scales_near_linearly():
         "polygon assembly scaling 500^2 -> 1000^2 at p=0.5 at most 8x",
         ratio <= 8,
         f"ratio {ratio:.1f}, {t_small * 1000:.0f}ms -> {t_large * 1000:.0f}ms",
+    )
+
+
+def test_text_parsers_are_no_slower_than_detect():
+    raster = bernoulli(1000, 1000, 0.5, 4243)
+
+    def best_time(run, arg):
+        times = []
+        for _ in range(3):
+            t0 = time.perf_counter()
+            run(arg)
+            times.append(time.perf_counter() - t0)
+        return min(times)
+
+    # Both timed in one process, so the host's load slows both alike: a
+    # per-byte loop in Python takes several times as long as detect, a
+    # whole-buffer parse a tenth of it or less.
+    t_detect = best_time(detect, raster)
+    t_parse = {
+        format: best_time(lambda data: parse_mask(data, format), write_mask(raster, format))
+        for format in ("pbm-ascii", "ascii-grid")
+    }
+    report(
+        "P1 and ASCII-grid parsing at 1000^2 p=0.5 no slower than detect",
+        max(t_parse.values()) <= t_detect,
+        ", ".join(f"{k} {t * 1000:.1f}ms" for k, t in t_parse.items())
+        + f", detect {t_detect * 1000:.1f}ms",
     )

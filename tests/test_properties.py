@@ -20,6 +20,7 @@ from hypothesis import HealthCheck, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
+from conftest import TEXT_ORACLES, parse_outcome  # noqa: E402
 from gridtrace import (  # noqa: E402
     BitRaster,
     MaskError,
@@ -58,6 +59,34 @@ _pbm = st.builds(
 MASK_BYTES = st.one_of(st.binary(max_size=48), _pbm)
 
 
+@st.composite
+def near_valid_text_masks(draw):
+    """P1 or ASCII-grid bytes that are valid or one slip away: digits with
+    whitespace between them, LF or CRLF line ends, a ragged row, a P1 width
+    off by one, trailing line ends, or one stray byte."""
+    w, h = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    widths = [w] * h
+    if h and draw(st.booleans()):
+        widths[draw(st.integers(0, h - 1))] += draw(st.sampled_from([-1, 1]))
+    gap = draw(st.sampled_from([b"", b"", b" ", b"\t", b"\v", b"\f", b"\r", b" \r"]))
+    end = draw(st.sampled_from([b"\n", b"\r\n"]))
+    digits = st.sampled_from([b"0", b"1"])
+    text = b"".join(
+        gap.join(draw(st.lists(digits, min_size=max(n, 0), max_size=max(n, 0)))) + end
+        for n in widths
+    )
+    text += draw(st.sampled_from([b"", b"", b"\n", b"\r\n", b" "]))
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.binary(min_size=1, max_size=1)) + text[at:]
+    if draw(st.booleans()):
+        return text
+    return b"P1\n%d %d\n" % (max(w + draw(st.sampled_from([0, 0, -1, 1])), 0), h) + text
+
+
+NEAR_VALID = near_valid_text_masks()
+
+
 @PROPERTY
 @given(raster=rasters(), format=st.sampled_from(["pbm-ascii", "pbm-binary"]))
 def test_pbm_round_trip_any_shape(raster, format):
@@ -89,6 +118,14 @@ def test_arbitrary_bytes_raise_only_mask_errors(data):
 
 
 @PROPERTY
+@given(data=st.one_of(MASK_BYTES, NEAR_VALID))
+def test_text_parsers_match_their_per_byte_oracles(data):
+    # The same bits, or the same exception class and message.
+    for format, oracle in TEXT_ORACLES.items():
+        assert parse_outcome(parse_mask, data, format) == parse_outcome(oracle, data)
+
+
+@PROPERTY
 @given(raster=rasters(max_side=9))
 def test_traced_rings_fill_back_to_the_mask(raster):
     grid, _ = form_rings(detect(raster))
@@ -115,7 +152,9 @@ def _refuse(constant):
 @pytest.mark.filterwarnings("error")
 @given(
     mask=st.one_of(
-        MASK_BYTES, st.builds(write_mask, rasters(max_side=6), st.sampled_from(MASK_FORMATS))
+        MASK_BYTES,
+        NEAR_VALID,
+        st.builds(write_mask, rasters(max_side=6), st.sampled_from(MASK_FORMATS)),
     ),
     world=st.none() | WORLD_BYTES,
     format=st.sampled_from(["geojson", "wkt", "rings-geojson"]),

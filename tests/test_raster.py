@@ -131,6 +131,17 @@ class TestPbmAscii:
         with pytest.raises(MaskError):
             parse_mask(b"P1\n2 1\n1 x", "pbm-ascii")
 
+    @pytest.mark.parametrize(
+        "data,message",
+        [
+            (b"P1\n2 1\n0x1", r"unexpected byte b'x' at byte 8 of the P1 file"),
+            (b"P1\n2 1\n0 1 1x", r"more than 2 pixels for 2x1: digit 3 at byte 11 of the P1 file"),
+        ],
+    )
+    def test_payload_errors_name_their_byte(self, data, message):
+        with pytest.raises(MaskError, match=f"^{message}$"):
+            parse_mask(data, "pbm-ascii")
+
     def test_header_larger_than_payload_is_rejected_before_allocating(self):
         # 10**10 pixels declared in a 20-byte file: one byte per pixel is
         # the least the payload can take, so this fails on length alone.

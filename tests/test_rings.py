@@ -150,6 +150,43 @@ class TestRingSet:
             with pytest.raises(ValueError):
                 rings[0][0, 0] = 7
 
+    @pytest.mark.parametrize("dtype", [np.int64, np.float32, np.float16, bool, np.uint8])
+    def test_accepts_narrow_int_float_and_bool_buffers(self, dtype):
+        rings = RingSet(np.zeros((4, 2), dtype), np.array([0, 2, 2, 4]))
+        assert len(rings) == 3 and rings.coords.dtype == dtype
+
+    def test_coordinates_not_n_by_2(self):
+        with pytest.raises(ValueError, match=r"^ring coordinates have shape \(5, 3\), not \(N, 2\)$"):
+            RingSet(np.zeros((5, 3)), np.array([0, 5]))
+
+    def test_one_dimensional_coordinates(self):
+        with pytest.raises(ValueError, match=r"^ring coordinates have shape \(10,\), not \(N, 2\)$"):
+            RingSet(np.zeros(10), np.array([0, 5]))
+
+    @pytest.mark.parametrize("dtype", [np.longdouble, np.complex128, object, "U3"])
+    def test_coordinates_not_ints_or_floats_of_at_most_8_bytes(self, dtype):
+        if np.dtype(dtype) == np.float64:
+            pytest.skip("long double is plain double on this platform")
+        with pytest.raises(ValueError, match="not ints or floats of at most 8 bytes$"):
+            RingSet(np.zeros((5, 2), dtype), np.array([0, 5]))
+
+    @pytest.mark.parametrize("offsets", [np.array([0.0, 5.0]), np.array([[0, 5]])])
+    def test_offsets_not_one_dimensional_integers(self, offsets):
+        with pytest.raises(ValueError, match="^ring offsets are .*, not 1-D integers$"):
+            RingSet(np.zeros((5, 2)), offsets)
+
+    @pytest.mark.parametrize(
+        "offsets,shown",
+        [([1, 5], "run from 1 to 5"), ([0, 4], "run from 0 to 4"), ([], "are empty")],
+    )
+    def test_offsets_not_from_0_to_n(self, offsets, shown):
+        with pytest.raises(ValueError, match=f"^ring offsets {shown}, not from 0 to 5$"):
+            RingSet(np.zeros((5, 2)), np.array(offsets, np.int64))
+
+    def test_offsets_decreasing(self):
+        with pytest.raises(ValueError, match="^ring 1 ends at offset 2, before its start 4$"):
+            RingSet(np.zeros((5, 2)), np.array([0, 4, 2, 5]))
+
 
 class TestSignedArea:
     def test_single_pixel_ring(self):

@@ -1,13 +1,16 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
-from conftest import raster_from_int
+from conftest import TEXT_ORACLES, parse_outcome, raster_from_int
 from gridtrace import (
     BitRaster,
     bernoulli,
     boundary_edges,
     detect,
     form_rings,
+    parse_mask,
     rasterize_even_odd,
 )
 from gridtrace.verify import pixel_at, unit_edges
@@ -102,3 +105,26 @@ def test_pipeline_matches_oracles_on_small_exhaustive():
         edges = unit_edges(grid)
         assert len(edges) == len(set(edges)), mask
         assert set(edges) == boundary_edges(r), mask
+
+
+# Every payload of up to 4 bytes over {0, 1, space, LF, CR, x}.
+SHORT_PAYLOADS = [
+    b"".join(p) for k in range(5) for p in product([b"0", b"1", b" ", b"\n", b"\r", b"x"], repeat=k)
+]
+
+
+class TestTextParserOracles:
+    """The whole-buffer parsers against their per-byte oracles: the same
+    bits, or the same exception class and message."""
+
+    @pytest.mark.parametrize(
+        "header",
+        [b""] + [b"P1\n%d %d\n" % (w, h) for w in range(3) for h in range(3)],
+    )
+    def test_every_short_payload(self, header):
+        format = "pbm-ascii" if header else "ascii-grid"
+        for payload in SHORT_PAYLOADS:
+            data = header + payload
+            assert parse_outcome(parse_mask, data, format) == parse_outcome(
+                TEXT_ORACLES[format], data
+            )
