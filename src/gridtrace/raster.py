@@ -9,11 +9,14 @@ Supported file formats: PBM P1 (plain text), PBM P4 (packed binary, rows
 padded to byte boundaries), and a bare ASCII grid of '0'/'1' rows. The text
 payloads are read whole: numpy maps every byte through a byte-class table
 and counts, checks and picks the digits in array passes, so no Python code
-runs per byte. `verify` keeps per-byte parsers of both text formats as
-oracles for them.
+runs per byte. A PBM header is read one field at a time by a regular
+expression. `verify` keeps per-byte readers of PBM headers and of both
+text formats as oracles for them.
 """
 
 from __future__ import annotations
+
+import re
 
 import numpy as np
 
@@ -40,6 +43,11 @@ _SPACE, _DIGIT, _OTHER = 0, 1, 2
 _BYTE_CLASS = np.full(256, _OTHER, np.uint8)
 _BYTE_CLASS[list(b" \t\n\v\f\r")] = _SPACE
 _BYTE_CLASS[list(b"01")] = _DIGIT
+
+# One PBM header field with the whitespace and comments before it. Every
+# repeat of the gap starts at a '#' and the field may be empty, so a match
+# never backtracks; an empty field means the data ended.
+_PBM_FIELD = re.compile(rb"[ \t\n\v\f\r]*(?:#[^\n\r]*[ \t\n\v\f\r]*)*([^ \t\n\v\f\r#]*)")
 
 
 class MaskError(ValueError):
@@ -82,6 +90,16 @@ class BitRaster:
                 )
             self._bits = arr
         self._bits.setflags(write=False)
+
+    @classmethod
+    def _adopt(cls, bits: np.ndarray) -> "BitRaster":
+        """A raster that takes `bits`, a fresh (height, width) bool array
+        that nothing else holds, without the copy the constructor makes."""
+        raster = cls.__new__(cls)
+        raster.height, raster.width = bits.shape
+        bits.setflags(write=False)
+        raster._bits = bits
+        return raster
 
     @classmethod
     def from_strings(cls, rows: list[str]) -> "BitRaster":
@@ -162,33 +180,6 @@ def write_mask(raster: BitRaster, format: str = "pbm-binary") -> bytes:
     return (f"P1\n{w} {h}\n".encode() if format == "pbm-ascii" else b"") + text.tobytes()
 
 
-def _tokenize_pbm_header(data: bytes, count: int) -> tuple[list[bytes], int]:
-    """Read `count` whitespace-separated tokens, skipping '#' comments.
-
-    Returns the tokens and the offset one byte past the final token's
-    terminating whitespace character (where P4 payload begins).
-    """
-    tokens: list[bytes] = []
-    i = 0
-    n = len(data)
-    while len(tokens) < count:
-        while i < n and data[i : i + 1].isspace():
-            i += 1
-        if i < n and data[i] == ord("#"):
-            while i < n and data[i] not in (10, 13):
-                i += 1
-            continue
-        if i >= n:
-            raise MaskHeaderError(f"header ended after {len(tokens)} of {count} fields")
-        start = i
-        while i < n and not data[i : i + 1].isspace() and data[i] != ord("#"):
-            i += 1
-        tokens.append(data[start:i])
-    if i < n and data[i : i + 1].isspace():
-        i += 1
-    return tokens, i
-
-
 def _clip(token: bytes) -> bytes:
     """A header token cut short enough to echo in an error message."""
     return token if len(token) <= 24 else token[:20] + b"..."
@@ -207,8 +198,22 @@ def _parse_pbm_dim(token: bytes) -> int:
 
 
 def _pbm_header(data: bytes, magic: bytes) -> tuple[int, int, int]:
-    """The width, height and payload offset of a PBM file with this magic."""
-    tokens, offset = _tokenize_pbm_header(data, 3)
+    """The width, height and payload offset of a PBM file with this magic.
+
+    Header fields are separated by whitespace as bytes.isspace defines it,
+    and a '#' comment runs to the next LF or CR. The payload starts one
+    byte past the whitespace byte that ends the last field.
+    """
+    tokens = []
+    offset = 0
+    while len(tokens) < 3:
+        field = _PBM_FIELD.match(data, offset)
+        if not field[1]:
+            raise MaskHeaderError(f"header ended after {len(tokens)} of 3 fields")
+        tokens.append(field[1])
+        offset = field.end()
+    if data[offset : offset + 1].isspace():
+        offset += 1
     if tokens[0] != magic:
         raise MaskHeaderError(f"expected {magic.decode()} magic, got {_clip(tokens[0])!r}")
     w, h = map(_parse_pbm_dim, tokens[1:3])
@@ -245,7 +250,7 @@ def _parse_pbm_ascii(data: bytes) -> BitRaster:
     values = payload[digits]
     del classes, digits
     values &= 1  # '0' and '1' differ in the low bit alone
-    return BitRaster(w, h, values.view(bool).reshape(h, w))
+    return BitRaster._adopt(values.view(bool).reshape(h, w))
 
 
 def _parse_pbm_binary(data: bytes) -> BitRaster:
@@ -260,8 +265,7 @@ def _parse_pbm_binary(data: bytes) -> BitRaster:
     if need == 0:
         return BitRaster(w, h)
     rows = np.frombuffer(payload, dtype=np.uint8).reshape(h, row_bytes)
-    bits = np.unpackbits(rows, axis=1)[:, :w].astype(bool)
-    return BitRaster(w, h, bits)
+    return BitRaster._adopt(np.unpackbits(rows, axis=1)[:, :w].astype(bool))
 
 
 def _parse_ascii_grid(data: bytes) -> BitRaster:
@@ -299,4 +303,4 @@ def _parse_ascii_grid(data: bytes) -> BitRaster:
     values = buf[digits]
     del digits
     values &= 1
-    return BitRaster(w, h, values.view(bool).reshape(h, w))
+    return BitRaster._adopt(values.view(bool).reshape(h, w))

@@ -1,9 +1,19 @@
 """Ring formation: walk circular vertex lists into closed coordinate rings.
 
-Each unvisited entry corner starts a walk that follows next links back to
-the start, emitting the ring in grid coordinates and, through the
+Every ring starts at its first-listed entry corner and follows next links
+back to it; it is emitted in grid coordinates and, through the
 grid-to-world transform, in (longitude, latitude). Rings that contain
 several entry corners are emitted once.
+
+The walk runs in numpy passes by list contraction over a ruling set
+(Cole & Vishkin, 1986). All entry corners step along the links at once,
+each stopping at the next corner, which cuts the rings into short
+segments. The corners then form a permutation a fraction of the size;
+its local minima by corner index step along it the same way, and so on
+until every ring is down to one corner. Each segment is finally copied to
+where its corner lands. Total work is O(vertices). Once fewer than 1024
+walkers or corners are left, they step on one vertex at a time
+in Python, so a long ring with few corners costs no numpy call per vertex.
 
 A ring set is a `RingSet` in GeoArrow's ragged layout: one (N, 2) buffer of
 int64 grid corners or float world positions, cut into closed rings by an
@@ -147,39 +157,188 @@ def form_rings(
         problem = f"arena has {len(xs)} xs, {len(ys)} ys and {n} next_ids"
     if problem:
         raise RingTraversalError(problem)
-    # A memoryview and an int64 array.array hold no int object per vertex;
-    # scattered int objects slow a list walk once they leave the cache.
-    nxt = memoryview(nxt)
-    visited = bytearray(n)
-    order = array.array("q")
-    bounds = array.array("q", [0])
-    append = order.append
-    for corner in corners.tolist():
-        if visited[corner]:
-            continue
-        i = corner
-        while True:
-            append(i)
-            visited[i] = 1
-            i = nxt[i]
-            if i == corner:
-                break
-        bounds.append(len(order))
-    if len(order) != n:
-        raise RingTraversalError(f"{n - len(order)} vertices unreachable from any entry corner")
+    # Narrow indices halve the bytes every gather and scatter of the walk moves.
+    index = np.int32 if n <= np.iinfo(np.int32).max else np.int64
+    if len(corners) and not (corners[1:] > corners[:-1]).all():
+        _, first = np.unique(corners, return_index=True)
+        corners = corners[np.sort(first)]
+    walk, bounds = _walk(nxt.astype(index), corners.astype(index))
+    if len(walk) != n:
+        raise RingTraversalError(f"{n - len(walk)} vertices unreachable from any entry corner")
 
     # Materialize all rings in bulk: gather walk-ordered coordinates and
     # insert each ring's closing point. Per-vertex or per-ring Python work
     # here would dominate the pipeline on large rasters.
-    walk = np.frombuffer(order, dtype=np.int64)
-    bounds = np.frombuffer(bounds, dtype=np.int64)
     closed = np.insert(walk, bounds[1:], walk[bounds[:-1]])
-    grid_coords = np.stack([xs[closed], ys[closed]], axis=1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        world_coords = np.stack(transform.apply(*grid_coords.T), axis=1)
+    del walk
+    grid = np.empty((len(closed), 2), np.int64)
+    grid[:, 0] = xs[closed]
+    grid[:, 1] = ys[closed]
+    del closed
+    world = _world(grid, transform)
     # Ring k's closing point shifts every later ring by k.
-    offsets = bounds + np.arange(len(bounds))
-    return RingSet(grid_coords, offsets), RingSet(world_coords, offsets)
+    offsets = bounds.astype(np.int64) + np.arange(len(bounds))
+    return RingSet(grid, offsets), RingSet(world, offsets)
+
+
+def _world(grid: np.ndarray, t: AffineTransform) -> np.ndarray:
+    """`t.apply` on every grid corner, in one (N, 2) buffer: the same
+    operations in the same order, so the same bits."""
+    world = np.empty(grid.shape)
+    x, y = grid[:, 0], grid[:, 1]
+    term = np.empty(len(grid))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for out, (p, q, r) in zip(world.T, ((t.a, t.b, t.c), (t.d, t.e, t.f))):
+            np.multiply(p, x, out=out)
+            np.multiply(q, y, out=term)
+            out += term
+            out += r
+    return world
+
+
+# Below this many walkers, or heads to order, the rest is stepped one
+# vertex at a time in Python. A numpy pass per step would cost more below
+# a few hundred, and numpy keeps freed arrays of under 1 KiB in a cache of
+# its own, so passes over fewer than 1024 elements also leave memory held.
+_SCALAR_BELOW = 1024
+
+
+def _walk(nxt: np.ndarray, heads: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Walk the cycles of the permutation `nxt` that hold one of the
+    distinct `heads`: ring k is order[bounds[k]:bounds[k + 1]], it starts at
+    the first-listed head on its cycle, and rings come in the order of those
+    heads. Cycles without a head are left out of `order`.
+
+    List contraction over a ruling set: every head walks at once to the
+    next head, which cuts the cycles into segments; the heads then form a
+    smaller permutation, ordered the same way by `_cycles`; and each
+    segment is copied to where its head lands. Total work is O(n).
+    """
+    n, m = len(nxt), len(heads)
+    index = nxt.dtype
+    if m < _SCALAR_BELOW:
+        return _scalar_walk(nxt, heads)
+    head_id = np.full(n, -1, index)
+    head_id[heads] = np.arange(m, dtype=index)
+    succ = np.empty(m, index)  # the head each segment runs into
+    length = np.empty(m, index)
+    # Segment walk. Step s records where each walker still going is, so
+    # the record of walker w at step s is vertex s of segment w.
+    vertex = np.empty(n - m, index)
+    walker_of = np.empty(n - m, index)
+    ends = [0]  # step s's records are ends[s - 1]:ends[s]
+    cur, walker = heads, np.arange(m, dtype=index)
+    while len(cur) >= _SCALAR_BELOW:
+        cur = nxt[cur]
+        hid = head_id[cur]
+        done = hid >= 0
+        # Index arrays, not boolean masks: numpy picks with a random mask
+        # several times slower.
+        at = np.flatnonzero(done)
+        succ[walker[at]] = hid[at]
+        length[walker[at]] = len(ends)
+        at = np.flatnonzero(~done)
+        cur, walker = cur[at], walker[at]
+        del hid, done, at
+        vertex[ends[-1] : ends[-1] + len(cur)] = cur
+        walker_of[ends[-1] : ends[-1] + len(cur)] = walker
+        ends.append(ends[-1] + len(cur))
+    # Scalar tail: the last walkers step on one vertex at a time, so a long
+    # segment costs no numpy call per vertex.
+    tail = array.array(index.char)
+    tail_lengths = []
+    step, links, heads_at = len(ends) - 1, memoryview(nxt), memoryview(head_id)
+    for w, v in zip(walker.tolist(), cur.tolist()):
+        begin = len(tail)
+        v = links[v]
+        while heads_at[v] < 0:
+            tail.append(v)
+            v = links[v]
+        tail_lengths.append(len(tail) - begin)
+        succ[w] = heads_at[v]
+        length[w] = step + 1 + len(tail) - begin
+    del head_id, heads_at, links
+
+    head_order, head_bounds = _cycles(succ)
+
+    # Expand: segment w starts where the segments before it in head order end.
+    seg = length[head_order]
+    seg_end = np.cumsum(seg, dtype=index)
+    start = np.empty(m, index)
+    start[head_order] = seg_end - seg
+    order = np.empty(seg_end[-1], index)
+    order[start] = heads
+    pos = start[walker_of[: ends[-1]]]
+    for s in range(1, len(ends)):
+        pos[ends[s - 1] : ends[s]] += s
+    order[pos] = vertex[: ends[-1]]
+    del pos, vertex, walker_of
+    if tail_lengths:
+        tail_lengths = np.array(tail_lengths, index)
+        first = np.cumsum(tail_lengths) - tail_lengths
+        shift = np.repeat(start[walker] + step + 1 - first, tail_lengths)
+        order[shift + np.arange(len(tail), dtype=index)] = np.frombuffer(tail, index)
+    bounds = np.zeros(len(head_bounds), index)
+    bounds[1:] = seg_end[head_bounds[1:] - 1]
+    return order, bounds
+
+
+def _scalar_walk(nxt: np.ndarray, heads: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`_walk` one vertex at a time, for few heads."""
+    links = memoryview(nxt)
+    visited = bytearray(len(nxt))
+    order = array.array(nxt.dtype.char)
+    bounds = array.array(nxt.dtype.char, [0])
+    for head in heads.tolist():
+        v = head
+        while not visited[v]:
+            visited[v] = 1
+            order.append(v)
+            v = links[v]
+        if len(order) > bounds[-1]:
+            bounds.append(len(order))
+    return np.frombuffer(order, nxt.dtype), np.frombuffer(bounds, nxt.dtype)
+
+
+def _cycles(succ: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every cycle of the permutation `succ` as (order, bounds), each cycle
+    from its least id and the cycles in the order of those ids.
+
+    One-element cycles are set aside; on the rest, the local minima of id
+    (`i <= succ[i]` and `i <= pred[i]`) hold each cycle's least id and at
+    most half of its ids, so `_walk` over them contracts by at least half.
+    """
+    m = len(succ)
+    index = succ.dtype
+    ids = np.arange(m, dtype=index)
+    fixed = succ == ids
+    loops, moving = np.flatnonzero(fixed).astype(index), np.flatnonzero(~fixed).astype(index)
+    del fixed
+    if not len(moving):
+        return ids, np.arange(m + 1, dtype=index)
+    rank = np.empty(m, index)
+    rank[moving] = ids[: len(moving)]
+    sub = rank[succ[moving]]
+    pred = np.empty_like(sub)
+    at = ids[: len(sub)]
+    pred[sub] = at
+    minima = np.flatnonzero((at <= sub) & (at <= pred)).astype(index)
+    del rank, pred
+    sub_order, sub_bounds = _walk(sub, minima)
+    # Merge the one-element cycles back in by least id.
+    sub_order = moving[sub_order]
+    starts = sub_order[sub_bounds[:-1]]
+    before = np.searchsorted(loops, starts).astype(index)  # loops ahead of each long cycle
+    after = np.searchsorted(starts, loops).astype(index)  # long cycles ahead of each loop
+    order = np.empty(m, index)
+    order[np.repeat(before, np.diff(sub_bounds)) + ids[: len(sub_order)]] = sub_order
+    loop_at = sub_bounds[after] + ids[: len(loops)]
+    order[loop_at] = loops
+    bounds = np.empty(len(loops) + len(starts) + 1, index)
+    bounds[ids[: len(starts)] + before] = sub_bounds[:-1] + before
+    bounds[ids[: len(loops)] + after] = loop_at
+    bounds[-1] = m
+    return order, bounds
 
 
 def signed_area(ring) -> float:

@@ -4,13 +4,16 @@ the source mask, and the text mask parsers against per-byte readers.
 These deliberately share no logic with the fast paths in `raster`, `trace`
 and `rings`: pixels and window codes are read one at a time, boundary edges
 are enumerated straight off the pixel grid, rasterization casts rays
-against ring segments, hole assembly ray-casts every hole against every
-exterior, and the P1 and ASCII-grid payloads are read one byte at a time
-(the PBM header reader, which reads byte by byte anyway, is shared). All
-are meant for tests and verification runs, not for speed.
+against ring segments, the ring walk steps one vertex at a time, hole
+assembly ray-casts every hole against every exterior, and PBM headers and
+the P1 and ASCII-grid payloads are read one byte at a time (only the
+parsing of a header's dimension tokens is shared). All are meant for tests
+and verification runs, not for speed.
 """
 
 from __future__ import annotations
+
+import array
 
 import numpy as np
 
@@ -18,10 +21,12 @@ from .raster import (
     BitRaster,
     MaskDimensionError,
     MaskError,
+    MaskHeaderError,
     MaskTruncatedError,
-    _pbm_header,
+    _clip,
+    _parse_pbm_dim,
 )
-from .rings import Polygon, TopologyError
+from .rings import Polygon, RingTraversalError, TopologyError
 
 __all__ = [
     "assemble_polygons_bruteforce",
@@ -29,9 +34,11 @@ __all__ = [
     "classify_window",
     "parse_ascii_grid_bruteforce",
     "parse_pbm_ascii_bruteforce",
+    "pbm_header_bruteforce",
     "pixel_at",
     "rasterize_even_odd",
     "unit_edges",
+    "walk_rings_bruteforce",
 ]
 
 # An undirected unit segment on the corner grid, endpoints in lexicographic order.
@@ -124,6 +131,39 @@ def rasterize_even_odd(grid_rings, width: int, height: int) -> BitRaster:
     return BitRaster(width, height, bits)
 
 
+def walk_rings_bruteforce(next_ids, corners) -> tuple[np.ndarray, np.ndarray]:
+    """Reference for the ring walk of `rings.form_rings`, one vertex at a
+    time: the int64 walk order and ring bounds, ring k being
+    order[bounds[k]:bounds[k + 1]].
+
+    Each entry corner not yet visited, in list order, starts a ring that
+    follows next_ids back to it. next_ids must be a permutation of the
+    vertices and every corner a vertex. Raises RingTraversalError, with
+    form_rings' message, if no entry corner reaches some vertex.
+    """
+    # A memoryview and an int64 array.array hold no int object per vertex.
+    nxt = memoryview(np.ascontiguousarray(next_ids, dtype=np.int64))
+    n = len(nxt)
+    visited = bytearray(n)
+    order = array.array("q")
+    bounds = array.array("q", [0])
+    append = order.append
+    for corner in np.asarray(corners, dtype=np.int64).tolist():
+        if visited[corner]:
+            continue
+        i = corner
+        while True:
+            append(i)
+            visited[i] = 1
+            i = nxt[i]
+            if i == corner:
+                break
+        bounds.append(len(order))
+    if len(order) != n:
+        raise RingTraversalError(f"{n - len(order)} vertices unreachable from any entry corner")
+    return np.frombuffer(order, dtype=np.int64), np.frombuffer(bounds, dtype=np.int64)
+
+
 def assemble_polygons_bruteforce(grid_rings) -> list[Polygon]:
     """Reference for `rings.assemble_polygons`, by containment search.
 
@@ -199,10 +239,42 @@ def _point_in_ring(px: float, py: float, ring: np.ndarray) -> bool:
     return crossings % 2 == 1
 
 
+def pbm_header_bruteforce(data: bytes, magic: bytes) -> tuple[int, int, int]:
+    """Reference for PBM header reading, one byte at a time: the width,
+    height and payload offset, or the same exception class and message.
+
+    Fields are separated by whitespace as bytes.isspace defines it, and a
+    '#' comment runs to the next LF or CR. The payload starts one byte past
+    the last field's terminating whitespace byte.
+    """
+    tokens: list[bytes] = []
+    i = 0
+    n = len(data)
+    while len(tokens) < 3:
+        while i < n and data[i : i + 1].isspace():
+            i += 1
+        if i < n and data[i] == ord("#"):
+            while i < n and data[i] not in (10, 13):
+                i += 1
+            continue
+        if i >= n:
+            raise MaskHeaderError(f"header ended after {len(tokens)} of 3 fields")
+        start = i
+        while i < n and not data[i : i + 1].isspace() and data[i] != ord("#"):
+            i += 1
+        tokens.append(data[start:i])
+    if i < n and data[i : i + 1].isspace():
+        i += 1
+    if tokens[0] != magic:
+        raise MaskHeaderError(f"expected {magic.decode()} magic, got {_clip(tokens[0])!r}")
+    w, h = map(_parse_pbm_dim, tokens[1:3])
+    return w, h, i
+
+
 def parse_pbm_ascii_bruteforce(data: bytes) -> BitRaster:
-    """Reference for P1 parsing, one payload byte at a time: the same bits,
-    or the same exception class and message."""
-    w, h, offset = _pbm_header(data, b"P1")
+    """Reference for P1 parsing, one header and payload byte at a time: the
+    same bits, or the same exception class and message."""
+    w, h, offset = pbm_header_bruteforce(data, b"P1")
     need = w * h
     if len(data) - offset < need:
         raise MaskTruncatedError(

@@ -2,8 +2,13 @@
 
 import numpy as np
 
-from gridtrace import BitRaster, MaskError, signed_area
-from gridtrace.verify import parse_ascii_grid_bruteforce, parse_pbm_ascii_bruteforce, unit_edges
+from gridtrace import BitRaster, MaskError, RingTraversalError, form_rings, signed_area
+from gridtrace.verify import (
+    parse_ascii_grid_bruteforce,
+    parse_pbm_ascii_bruteforce,
+    unit_edges,
+    walk_rings_bruteforce,
+)
 
 # The per-byte oracle of each text mask format.
 TEXT_ORACLES = {
@@ -18,6 +23,24 @@ def parse_outcome(parse, *args):
         return parse(*args)
     except MaskError as e:
         return type(e), str(e)
+
+
+def walk_outcomes(delineation):
+    """The grid rings of form_rings and of the per-vertex walk oracle, each
+    as (coordinates, offsets) lists or the RingTraversalError message."""
+    try:
+        grid, _ = form_rings(delineation)
+        fast = grid.coords.tolist(), grid.offsets.tolist()
+    except RingTraversalError as e:
+        fast = str(e)
+    try:
+        order, bounds = walk_rings_bruteforce(delineation.next_ids, delineation.corners)
+        closed = np.insert(order, bounds[1:], order[bounds[:-1]])
+        xs, ys = np.asarray(delineation.xs)[closed], np.asarray(delineation.ys)[closed]
+        oracle = np.stack([xs, ys], axis=1).tolist(), (bounds + np.arange(len(bounds))).tolist()
+    except RingTraversalError as e:
+        oracle = str(e)
+    return fast, oracle
 
 
 def raster_from_int(width: int, height: int, mask: int) -> BitRaster:

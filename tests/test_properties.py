@@ -20,9 +20,10 @@ from hypothesis import HealthCheck, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
-from conftest import TEXT_ORACLES, parse_outcome  # noqa: E402
+from conftest import TEXT_ORACLES, parse_outcome, walk_outcomes  # noqa: E402
 from gridtrace import (  # noqa: E402
     BitRaster,
+    Delineation,
     MaskError,
     detect,
     form_rings,
@@ -32,7 +33,8 @@ from gridtrace import (  # noqa: E402
     write_mask,
 )
 from gridtrace.cli import main  # noqa: E402
-from gridtrace.raster import MASK_FORMATS  # noqa: E402
+from gridtrace.raster import MASK_FORMATS, _pbm_header  # noqa: E402
+from gridtrace.verify import pbm_header_bruteforce  # noqa: E402
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
@@ -57,6 +59,23 @@ _pbm = st.builds(
     st.one_of(st.just(b""), st.binary(max_size=24)),
 )
 MASK_BYTES = st.one_of(st.binary(max_size=48), _pbm)
+
+# PBM headers of P1, P4 or other magics, with fields that may be garbage or
+# missing, between gaps of whitespace and comments ended by LF, CR or the
+# end of the data, before a short payload.
+_gap = st.lists(
+    st.sampled_from([b" ", b"\t", b"\n", b"\r", b"\v", b"\f", b"\r\n", b"#", b"# c\n", b"#x\r"]),
+    max_size=4,
+).map(b"".join)
+_field = st.one_of(
+    st.sampled_from([b"P1", b"P4", b"P2", b"0", b"3", b"007", b"12", b"x", b"9" * 30]),
+    st.binary(max_size=4),
+)
+PBM_HEADERS = st.builds(
+    lambda parts, tail: b"".join(parts) + tail,
+    st.lists(st.tuples(_gap, _field).map(b"".join), max_size=4),
+    st.one_of(_gap, st.binary(max_size=8)),
+)
 
 
 @st.composite
@@ -118,11 +137,49 @@ def test_arbitrary_bytes_raise_only_mask_errors(data):
 
 
 @PROPERTY
-@given(data=st.one_of(MASK_BYTES, NEAR_VALID))
+@given(data=st.one_of(MASK_BYTES, NEAR_VALID, PBM_HEADERS))
 def test_text_parsers_match_their_per_byte_oracles(data):
     # The same bits, or the same exception class and message.
     for format, oracle in TEXT_ORACLES.items():
         assert parse_outcome(parse_mask, data, format) == parse_outcome(oracle, data)
+    for magic in (b"P1", b"P4"):
+        assert parse_outcome(_pbm_header, data, magic) == parse_outcome(
+            pbm_header_bruteforce, data, magic
+        )
+
+
+@st.composite
+def walk_arenas(draw):
+    """Random permutations of up to 30 000 vertices cut into cycles of a
+    drawn mean length, with entry corners on a drawn share of the vertices
+    plus one per cycle, listed sorted or shuffled, with repeats, and with
+    or without one cycle left bare."""
+    rng = np.random.Generator(np.random.PCG64(draw(st.integers(0, 2**32 - 1))))
+    n = draw(st.one_of(st.integers(0, 3000), st.integers(3000, 30_000)))
+    ids = rng.permutation(n)
+    cut = np.flatnonzero(rng.random(n) < 1 / draw(st.sampled_from([1, 2, 4, 40, 1000])))
+    cycles = np.split(ids, np.union1d(cut, [0])[1:]) if n else []
+    nxt = np.empty(n, np.int64)
+    for cycle in cycles:
+        nxt[cycle] = np.roll(cycle, -1)
+    share = draw(st.sampled_from([0.0, 0.05, 0.3, 1.0]))
+    corners = [ids[rng.random(n) < share]] + [c[rng.integers(len(c)) :][:1] for c in cycles]
+    if cycles and draw(st.booleans()):
+        bare = cycles[rng.integers(len(cycles))]
+        corners = [c[~np.isin(c, bare)] for c in corners]
+    corners = np.concatenate([np.zeros(0, np.int64), *corners])
+    corners = np.unique(corners) if draw(st.booleans()) else rng.permutation(corners)
+    repeats = rng.choice(corners, draw(st.integers(0, 5))) if len(corners) else corners
+    corners = np.insert(corners, rng.integers(0, len(corners) + 1, len(repeats)), repeats)
+    return Delineation(np.arange(n), n - np.arange(n), nxt, corners)
+
+
+@PROPERTY
+@given(arena=walk_arenas())
+def test_ring_walk_matches_the_per_vertex_oracle(arena):
+    # The same rings in the same order, or the same unreachable-vertex message.
+    fast, oracle = walk_outcomes(arena)
+    assert fast == oracle
 
 
 @PROPERTY

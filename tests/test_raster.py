@@ -53,6 +53,18 @@ class TestBitRaster:
         with pytest.raises(ValueError):
             BitRaster(2, 2, np.zeros((2, 3), dtype=bool))
 
+    def test_constructor_copies_its_bits(self):
+        bits = np.ones((2, 3), dtype=bool)
+        r = BitRaster(3, 2, bits)
+        assert not np.shares_memory(r._bits, bits)
+        bits[0, 0] = False
+        assert pixel_at(r, 0, 0) is True
+
+    @pytest.mark.parametrize("format", ["pbm-ascii", "pbm-binary", "ascii-grid"])
+    def test_parsed_bits_are_read_only(self, format):
+        r = parse_mask(write_mask(bernoulli(5, 4, 0.5, 1), format), format)
+        assert (r.width, r.height) == (5, 4) and not r._bits.flags.writeable
+
     def test_zero_size_is_valid(self):
         assert BitRaster(0, 0).marked_count() == 0
         assert pixel_at(BitRaster(5, 0), 2, 0) is False

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import raster_from_int, ring_validity_errors
+from conftest import raster_from_int, ring_validity_errors, walk_outcomes
 from gridtrace import (
     AffineTransform,
     BitRaster,
@@ -61,6 +61,24 @@ class TestFormRings:
             expected = [tr.apply(x, y) for x, y in ring.tolist()]
             assert wring.tolist() == [list(p) for p in expected]
 
+    @pytest.mark.parametrize(
+        "t",
+        [
+            AffineTransform(0.25, 0.0, -30.0, 0.0, -0.25, 60.0),
+            AffineTransform(0.3, -0.2, 5.5, 0.1, 0.7, -3.0),
+            AffineTransform(1e308, 0.0, 0.0, 0.0, -1e308, 0.0),
+            AffineTransform(-1.0, -0.0, -0.0, 0.0, -1.0, 0.0),
+            AffineTransform(-0.0, 1.0, 0.0, -1.0, -0.0, -0.0),
+        ],
+        ids=["north-up", "rotated", "overflowing", "negative-scale", "signed-zeros"],
+    )
+    def test_world_has_the_bits_of_transform_apply(self, t):
+        # tolist() would let -0.0 pass for 0.0 and is blind to NaN payloads.
+        grid, world = form_rings(detect(bernoulli(12, 9, 0.4, 3)), t)
+        with np.errstate(over="ignore", invalid="ignore"):
+            lon, lat = t.apply(grid.coords[:, 0], grid.coords[:, 1])
+        assert world.coords.tobytes() == np.stack([lon, lat], axis=1).tobytes()
+
     def test_traversal_covers_every_vertex_once(self):
         for seed in range(4):
             d = detect(bernoulli(24, 24, 0.5, seed))
@@ -76,7 +94,7 @@ class TestFormRings:
         bad = Delineation(
             xs=[0, 1, 5, 5], ys=[0, 0, 0, 1], next_ids=[1, 0, 3, 2], corners=[0]
         )
-        with pytest.raises(RingTraversalError):
+        with pytest.raises(RingTraversalError, match="^2 vertices unreachable from any entry corner$"):
             form_rings(bad)
 
     def test_pipeline_rings_have_no_straight_runs(self):
@@ -114,6 +132,48 @@ class TestFormRings:
         as_lists = Delineation(*(a.tolist() for a in (d.xs, d.ys, d.next_ids, d.corners)))
         for got, want in zip(form_rings(as_lists), form_rings(d)):
             assert [r.tolist() for r in got] == [r.tolist() for r in want]
+
+
+def spiral(size):
+    """A 1-pixel-wide square spiral, its turns one blank pixel apart."""
+    bits = np.zeros((size, size), dtype=bool)
+    x = y = 0
+    dx, dy = 1, 0
+    bits[0, 0] = True
+    turned = False
+    while True:
+        ahead, beyond = (x + dx, y + dy), (x + 2 * dx, y + 2 * dy)
+        free = all(0 <= v < size for v in ahead) and not bits[ahead[::-1]]
+        if free and not (all(0 <= v < size for v in beyond) and bits[beyond[::-1]]):
+            (x, y), turned = ahead, False
+            bits[y, x] = True
+        elif turned:
+            return BitRaster(size, size, bits)
+        else:
+            dx, dy, turned = -dy, dx, True
+
+
+def staircase(size):
+    y, x = np.mgrid[:size, :size]
+    return BitRaster(size, size, x <= y)
+
+
+def comb(size):
+    bits = np.zeros((size, size), dtype=bool)
+    bits[0] = bits[:, ::2] = True
+    return BitRaster(size, size, bits)
+
+
+@pytest.mark.parametrize(
+    "raster",
+    [spiral(120), staircase(600), comb(600), bernoulli(300, 300, 0.95, 5)],
+    ids=["spiral", "staircase", "comb", "bernoulli-0.95"],
+)
+def test_long_rings_match_the_per_vertex_walk(raster):
+    # One ring of 1202 vertices behind a single entry corner (staircase),
+    # hundreds of teeth on one ring (comb), and long rings among many.
+    fast, oracle = walk_outcomes(detect(raster))
+    assert fast == oracle
 
 
 class TestRingSet:
