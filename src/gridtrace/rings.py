@@ -5,15 +5,19 @@ back to it; it is emitted in grid coordinates and, through the
 grid-to-world transform, in (longitude, latitude). Rings that contain
 several entry corners are emitted once.
 
-The walk runs in numpy passes by list contraction over a ruling set
-(Cole & Vishkin, 1986). All entry corners step along the links at once,
-each stopping at the next corner, which cuts the rings into short
-segments. The corners then form a permutation a fraction of the size;
-its local minima by corner index step along it the same way, and so on
-until every ring is down to one corner. Each segment is finally copied to
-where its corner lands. Total work is O(vertices). Once fewer than 1024
-walkers or corners are left, they step on one vertex at a time
-in Python, so a long ring with few corners costs no numpy call per vertex.
+The walk labels every vertex with its place instead of building the order
+step by step, by list contraction over a ruling set (Cole & Vishkin, 1986).
+All entry corners step along the links at once, each stopping at the next
+corner, which cuts the rings into short segments and gives every vertex
+its segment and its distance along it. The corners then form a permutation
+a fraction of the size, weighted by segment lengths; its local minima by
+corner index step along it the same way, and so on, until every corner
+knows its ring's leader (the first-listed corner on it) and its offset
+from there. One bincount over leaders sizes the rings and one scatter
+puts every vertex in place. Total work is O(vertices). Walkers, once fewer
+than 1024 are left, and permutations with fewer than 1024 elements to
+label go one element at a time in Python, so a long ring with few corners
+costs no numpy call per vertex.
 
 A ring set is a `RingSet` in GeoArrow's ragged layout: one (N, 2) buffer of
 int64 grid corners or float world positions, cut into closed rings by an
@@ -150,34 +154,43 @@ def form_rings(
     for name, a in fields.items():
         if a.size and a.dtype.kind not in "iu":
             raise RingTraversalError(f"arena field {name} holds {a.dtype} values, not integers")
-    xs, ys, nxt, corners = (a.astype(np.int64, copy=False) for a in fields.values())
-    n = len(nxt)
+    xs, ys, nxt, corners = fields.values()
+    n, m = len(nxt), len(corners)
     problem = link_problem(nxt, corners)
     if not len(xs) == len(ys) == n:
         problem = f"arena has {len(xs)} xs, {len(ys)} ys and {n} next_ids"
     if problem:
         raise RingTraversalError(problem)
-    # Narrow indices halve the bytes every gather and scatter of the walk moves.
-    index = np.int32 if n <= np.iinfo(np.int32).max else np.int64
-    if len(corners) and not (corners[1:] > corners[:-1]).all():
+    # Narrow indices halve the bytes every gather and scatter of the walk
+    # moves. Places in the closed buffer run to n plus the ring count.
+    index = np.int32 if n + m <= np.iinfo(np.int32).max else np.int64
+    if m and not (corners[1:] > corners[:-1]).all():
         _, first = np.unique(corners, return_index=True)
         corners = corners[np.sort(first)]
-    walk, bounds = _walk(nxt.astype(index), corners.astype(index))
-    if len(walk) != n:
-        raise RingTraversalError(f"{n - len(walk)} vertices unreachable from any entry corner")
-
-    # Materialize all rings in bulk: gather walk-ordered coordinates and
-    # insert each ring's closing point. Per-vertex or per-ring Python work
-    # here would dominate the pipeline on large rasters.
-    closed = np.insert(walk, bounds[1:], walk[bounds[:-1]])
-    del walk
+    heads = corners.astype(index)
+    next_head, size, vertex, segment, place = _segments(nxt.astype(index), heads)
+    if len(vertex) != n:
+        raise RingTraversalError(f"{n - len(vertex)} vertices unreachable from any entry corner")
+    leader, offset = _rank(next_head, size)
+    # Ring k runs from its leader, the first-listed corner on it and the only
+    # one at offset 0, round to a repeat of it; every corner's segment
+    # starts at its offset from there.
+    leaders = np.flatnonzero(offset == 0)
+    offsets = np.zeros(len(leaders) + 1, np.int64)
+    np.add.accumulate(np.bincount(leader, size)[leaders].astype(np.int64) + 1, out=offsets[1:])
+    start = np.empty(len(heads), index)
+    start[leaders] = offsets[:-1]
+    place += (start[leader] + offset)[segment]
+    del next_head, size, leader, offset, start, segment
+    closed = np.empty(offsets[-1], index)
+    closed[place] = vertex
+    closed[offsets[1:] - 1] = heads[leaders]
+    del place, vertex
     grid = np.empty((len(closed), 2), np.int64)
     grid[:, 0] = xs[closed]
     grid[:, 1] = ys[closed]
     del closed
     world = _world(grid, transform)
-    # Ring k's closing point shifts every later ring by k.
-    offsets = bounds.astype(np.int64) + np.arange(len(bounds))
     return RingSet(grid, offsets), RingSet(world, offsets)
 
 
@@ -196,149 +209,115 @@ def _world(grid: np.ndarray, t: AffineTransform) -> np.ndarray:
     return world
 
 
-# Below this many walkers, or heads to order, the rest is stepped one
-# vertex at a time in Python. A numpy pass per step would cost more below
-# a few hundred, and numpy keeps freed arrays of under 1 KiB in a cache of
-# its own, so passes over fewer than 1024 elements also leave memory held.
+# Below this many walkers, or moving elements to rank, the rest is stepped
+# one element at a time in Python. A numpy pass per step would cost more
+# below a few hundred, and numpy keeps freed arrays of under 1 KiB in a
+# cache of its own, so passes over fewer than 1024 elements also leave
+# memory held.
 _SCALAR_BELOW = 1024
 
 
-def _walk(nxt: np.ndarray, heads: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Walk the cycles of the permutation `nxt` that hold one of the
-    distinct `heads`: ring k is order[bounds[k]:bounds[k + 1]], it starts at
-    the first-listed head on its cycle, and rings come in the order of those
-    heads. Cycles without a head are left out of `order`.
+def _segments(
+    succ: np.ndarray, heads: np.ndarray, weight: np.ndarray | None = None
+) -> tuple[np.ndarray, ...]:
+    """Cut the cycles of the permutation `succ` at the distinct `heads` into
+    segments, each running from a head to just before the next head.
 
-    List contraction over a ruling set: every head walks at once to the
-    next head, which cuts the cycles into segments; the heads then form a
-    smaller permutation, ordered the same way by `_cycles`; and each
-    segment is copied to where its head lands. Total work is O(n).
+    Returns (next_head, total, element, segment, dist). Segment k, from
+    heads[k], runs into heads[next_head[k]] and weighs total[k]. Every
+    element a head reaches, the heads first, is element[i], at the weighted
+    distance dist[i] from the head of segment segment[i]. Element v weighs
+    weight[v], or 1 without `weight`. Cycles without a head are left out.
     """
-    n, m = len(nxt), len(heads)
-    index = nxt.dtype
-    if m < _SCALAR_BELOW:
-        return _scalar_walk(nxt, heads)
+    n, m = len(succ), len(heads)
+    index = succ.dtype
+    ids = np.arange(m, dtype=index)
     head_id = np.full(n, -1, index)
-    head_id[heads] = np.arange(m, dtype=index)
-    succ = np.empty(m, index)  # the head each segment runs into
-    length = np.empty(m, index)
-    # Segment walk. Step s records where each walker still going is, so
-    # the record of walker w at step s is vertex s of segment w.
-    vertex = np.empty(n - m, index)
-    walker_of = np.empty(n - m, index)
-    ends = [0]  # step s's records are ends[s - 1]:ends[s]
-    cur, walker = heads, np.arange(m, dtype=index)
+    head_id[heads] = ids
+    next_head, total = np.empty(m, index), np.empty(m, index)
+    element, segment, dist = np.empty(n, index), np.empty(n, index), np.empty(n, index)
+    element[:m], segment[:m], dist[:m] = heads, ids, 0
+    # All walkers step at once; `walked` is the weight each has passed.
+    cur, walker, end = heads, ids, m
+    walked = np.ones(m, index) if weight is None else weight[heads]
     while len(cur) >= _SCALAR_BELOW:
-        cur = nxt[cur]
+        cur = succ[cur]
         hid = head_id[cur]
-        done = hid >= 0
         # Index arrays, not boolean masks: numpy picks with a random mask
         # several times slower.
-        at = np.flatnonzero(done)
-        succ[walker[at]] = hid[at]
-        length[walker[at]] = len(ends)
-        at = np.flatnonzero(~done)
-        cur, walker = cur[at], walker[at]
-        del hid, done, at
-        vertex[ends[-1] : ends[-1] + len(cur)] = cur
-        walker_of[ends[-1] : ends[-1] + len(cur)] = walker
-        ends.append(ends[-1] + len(cur))
-    # Scalar tail: the last walkers step on one vertex at a time, so a long
-    # segment costs no numpy call per vertex.
-    tail = array.array(index.char)
-    tail_lengths = []
-    step, links, heads_at = len(ends) - 1, memoryview(nxt), memoryview(head_id)
-    for w, v in zip(walker.tolist(), cur.tolist()):
-        begin = len(tail)
+        at = np.flatnonzero(hid >= 0)
+        next_head[walker[at]] = hid[at]
+        total[walker[at]] = walked[at]
+        at = np.flatnonzero(hid < 0)
+        cur, walker, walked = cur[at], walker[at], walked[at]
+        del hid, at
+        run = slice(end, end + len(cur))
+        element[run], segment[run], dist[run] = cur, walker, walked
+        end = run.stop
+        walked += 1 if weight is None else weight[cur]
+    # Scalar tail: the last walkers step one element at a time and keep
+    # only the elements, so a long segment costs no numpy call per element.
+    # Walker w's run is tail[bounds[w]:bounds[w + 1]].
+    tail, bounds, ends = array.array(index.char), [0], []
+    links, heads_at = memoryview(succ), memoryview(head_id)
+    for v in cur.tolist():
         v = links[v]
         while heads_at[v] < 0:
             tail.append(v)
             v = links[v]
-        tail_lengths.append(len(tail) - begin)
-        succ[w] = heads_at[v]
-        length[w] = step + 1 + len(tail) - begin
+        bounds.append(len(tail))
+        ends.append(heads_at[v])
     del head_id, heads_at, links
-
-    head_order, head_bounds = _cycles(succ)
-
-    # Expand: segment w starts where the segments before it in head order end.
-    seg = length[head_order]
-    seg_end = np.cumsum(seg, dtype=index)
-    start = np.empty(m, index)
-    start[head_order] = seg_end - seg
-    order = np.empty(seg_end[-1], index)
-    order[start] = heads
-    pos = start[walker_of[: ends[-1]]]
-    for s in range(1, len(ends)):
-        pos[ends[s - 1] : ends[s]] += s
-    order[pos] = vertex[: ends[-1]]
-    del pos, vertex, walker_of
-    if tail_lengths:
-        tail_lengths = np.array(tail_lengths, index)
-        first = np.cumsum(tail_lengths) - tail_lengths
-        shift = np.repeat(start[walker] + step + 1 - first, tail_lengths)
-        order[shift + np.arange(len(tail), dtype=index)] = np.frombuffer(tail, index)
-    bounds = np.zeros(len(head_bounds), index)
-    bounds[1:] = seg_end[head_bounds[1:] - 1]
-    return order, bounds
+    tail, bounds = np.frombuffer(tail, index), np.array(bounds, index)
+    passed = np.arange(len(tail) + 1, dtype=index)  # weight passed along the tail
+    if weight is not None:
+        np.add.accumulate(weight[tail], out=passed[1:])
+    walked -= passed[bounds[:-1]]
+    next_head[walker] = ends
+    total[walker] = walked + passed[bounds[1:]]
+    lengths = bounds[1:] - bounds[:-1]
+    run = slice(end, end + len(tail))
+    element[run], segment[run] = tail, walker.repeat(lengths)
+    dist[run] = walked.repeat(lengths) + passed[:-1]
+    return next_head, total, element[: run.stop], segment[: run.stop], dist[: run.stop]
 
 
-def _scalar_walk(nxt: np.ndarray, heads: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`_walk` one vertex at a time, for few heads."""
-    links = memoryview(nxt)
-    visited = bytearray(len(nxt))
-    order = array.array(nxt.dtype.char)
-    bounds = array.array(nxt.dtype.char, [0])
-    for head in heads.tolist():
-        v = head
-        while not visited[v]:
-            visited[v] = 1
-            order.append(v)
-            v = links[v]
-        if len(order) > bounds[-1]:
-            bounds.append(len(order))
-    return np.frombuffer(order, nxt.dtype), np.frombuffer(bounds, nxt.dtype)
+def _rank(succ: np.ndarray, weight: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Label every element of the permutation `succ` with its cycle's least
+    element, its leader, and its offset: the weight from the leader up to
+    it, where element v weighs weight[v].
 
-
-def _cycles(succ: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Every cycle of the permutation `succ` as (order, bounds), each cycle
-    from its least id and the cycles in the order of those ids.
-
-    One-element cycles are set aside; on the rest, the local minima of id
-    (`i <= succ[i]` and `i <= pred[i]`) hold each cycle's least id and at
-    most half of its ids, so `_walk` over them contracts by at least half.
+    Fixed points lead themselves. The local minima (`v < succ[v]` and
+    `v < pred[v]`) hold every other cycle's least element and at most half
+    of its elements; `_segments` cuts the cycles at them, and the minima,
+    weighted by their segments, are ranked the same way.
     """
     m = len(succ)
     index = succ.dtype
     ids = np.arange(m, dtype=index)
-    fixed = succ == ids
-    loops, moving = np.flatnonzero(fixed).astype(index), np.flatnonzero(~fixed).astype(index)
-    del fixed
-    if not len(moving):
-        return ids, np.arange(m + 1, dtype=index)
-    rank = np.empty(m, index)
-    rank[moving] = ids[: len(moving)]
-    sub = rank[succ[moving]]
-    pred = np.empty_like(sub)
-    at = ids[: len(sub)]
-    pred[sub] = at
-    minima = np.flatnonzero((at <= sub) & (at <= pred)).astype(index)
-    del rank, pred
-    sub_order, sub_bounds = _walk(sub, minima)
-    # Merge the one-element cycles back in by least id.
-    sub_order = moving[sub_order]
-    starts = sub_order[sub_bounds[:-1]]
-    before = np.searchsorted(loops, starts).astype(index)  # loops ahead of each long cycle
-    after = np.searchsorted(starts, loops).astype(index)  # long cycles ahead of each loop
-    order = np.empty(m, index)
-    order[np.repeat(before, np.diff(sub_bounds)) + ids[: len(sub_order)]] = sub_order
-    loop_at = sub_bounds[after] + ids[: len(loops)]
-    order[loop_at] = loops
-    bounds = np.empty(len(loops) + len(starts) + 1, index)
-    bounds[ids[: len(starts)] + before] = sub_bounds[:-1] + before
-    bounds[ids[: len(loops)] + after] = loop_at
-    bounds[-1] = m
-    return order, bounds
+    leader, offset = ids.copy(), np.zeros(m, index)
+    moving = np.flatnonzero(succ != ids)
+    if len(moving) < _SCALAR_BELOW:
+        # In rising order, each cycle is first met at its least element.
+        links, weights, leads, offsets = map(memoryview, (succ, weight, leader, offset))
+        for first in moving.tolist():
+            if leads[first] != first:
+                continue
+            v, walked = links[first], weights[first]
+            while v != first:
+                leads[v], offsets[v] = first, walked
+                walked += weights[v]
+                v = links[v]
+        return leader, offset
+    pred = np.empty_like(succ)
+    pred[succ] = ids
+    minima = np.flatnonzero((ids < succ) & (ids < pred)).astype(index)
+    del pred, moving
+    next_min, total, element, segment, dist = _segments(succ, minima, weight)
+    lead, off = _rank(next_min, total)
+    leader[element] = minima[lead][segment]
+    offset[element] = off[segment] + dist
+    return leader, offset
 
 
 def signed_area(ring) -> float:
@@ -372,12 +351,16 @@ def assemble_polygons(grid_rings) -> list[Polygon]:
 
     Exteriors come out in ring order, each with its holes in ascending ring
     order. Raises TopologyError for zero-area rings (the lowest index is
-    reported) and for holes that no exterior surrounds.
+    reported) and for holes that no exterior surrounds, and ValueError for
+    float coordinates. Bool and integer coordinates are read as int64.
     """
     rings = RingSet.of(grid_rings, np.int64)
+    if rings.coords.dtype.kind == "f":
+        raise ValueError(f"grid rings hold {rings.coords.dtype} coordinates, not integers")
+    coords = rings.coords.astype(np.int64, copy=False)
     n = len(rings)
     point_ring = np.repeat(np.arange(n), np.diff(rings.offsets))
-    x, y = rings.coords[:, 0], rings.coords[:, 1]
+    x, y = coords[:, 0], coords[:, 1]
 
     # Steps between consecutive points, minus those that join one ring's
     # last point to the next ring's first.
@@ -425,7 +408,7 @@ def assemble_polygons(grid_rings) -> list[Polygon]:
     orphans = holes[owner[holes] == n]
     if len(orphans):
         hid = int(orphans[0])
-        start = tuple(rings[hid][0])
+        start = tuple(coords[rings.offsets[hid]])
         raise TopologyError(
             f"hole ring {hid} at {start} is inside no exterior ring", ring_index=hid
         )

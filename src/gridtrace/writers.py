@@ -68,8 +68,14 @@ def write_geojson(
         texts = _ring_texts(rings, _json_numbers, "[%s, %s]", "[%s]")
         features = _polygon_texts(texts, polygons, _FEATURE % "Polygon")
         del texts  # the features hold a copy
-    crs_member = "" if crs is None else ', "crs": ' + json.dumps(crs, allow_nan=False)
-    return '{"type": "FeatureCollection", "features": [' + ", ".join(features) + "]" + crs_member + "}"
+    head = '{"type": "FeatureCollection", "features": ['
+    tail = "]" + ("" if crs is None else ', "crs": ' + json.dumps(crs, allow_nan=False)) + "}"
+    if not features:
+        return head + tail
+    # One join over the whole text: the affixes go onto the end features.
+    features[0] = head + features[0]
+    features[-1] += tail
+    return ", ".join(features)
 
 
 _FEATURE = '{"type": "Feature", "geometry": {"type": "%s", "coordinates": [%%s]}, "properties": {}}'
@@ -104,7 +110,14 @@ def _ring_texts(rings: RingSet, numbers, position: str, ring: str) -> list[str]:
 
 
 def _polygon_texts(texts: list[str], polygons: list[Polygon], template: str) -> list[str]:
-    return [template % ", ".join([texts[p.outer], *[texts[h] for h in p.holes]]) for p in polygons]
+    """Each polygon's rings in the `template`, outer ring first. Raises
+    ValueError naming the first polygon with an index that is not a ring's."""
+    members = [[p.outer, *p.holes] for p in polygons]
+    every = [k for ks in members for k in ks]
+    if every and not 0 <= min(every) <= max(every) < len(texts):
+        i, k = next((i, k) for i, ks in enumerate(members) for k in ks if not 0 <= k < len(texts))
+        raise ValueError(f"polygon {i} refers to ring {k}, but there are {len(texts)} rings")
+    return [template % ", ".join([texts[k] for k in ks]) for ks in members]
 
 
 def _json_numbers(values: list) -> list[str]:

@@ -127,6 +127,19 @@ class TestFormRings:
         with pytest.raises(RingTraversalError, match=message):
             form_rings(bad)
 
+    @pytest.mark.parametrize(
+        "next_ids,corners,message",
+        [
+            ([2**64 - 1], [0], "^vertex 0 is unlinked: its successor 18446744073709551615 "),
+            ([0], [2**64 - 1], "^entry corner 18446744073709551615 is not a vertex in 0..0$"),
+        ],
+        ids=["link", "corner"],
+    )
+    def test_unsigned_values_are_named_as_given(self, next_ids, corners, message):
+        bad = Delineation([0], [0], np.array(next_ids, np.uint64), np.array(corners, np.uint64))
+        with pytest.raises(RingTraversalError, match=message):
+            form_rings(bad)
+
     def test_arrays_and_lists_give_the_same_rings(self):
         d = detect(bernoulli(9, 7, 0.5, 11))
         as_lists = Delineation(*(a.tolist() for a in (d.xs, d.ys, d.next_ids, d.corners)))
@@ -320,6 +333,22 @@ class TestAssemblePolygons:
         flat = [(0, 0), (0, 1), (0, 0)]
         with pytest.raises(TopologyError):
             assemble_polygons([flat])
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.uint32, np.int16])
+    def test_narrow_and_unsigned_coordinates_read_as_int64(self, dtype):
+        # Coordinate differences must not wrap in the ring's own dtype.
+        small, _ = rings_of(["111", "101", "111"])
+        bits = np.ones((400, 400), bool)
+        bits[200, 100:300] = False
+        large, _ = form_rings(detect(BitRaster(400, 400, bits)))
+        for grid in (small, large) if np.iinfo(dtype).max >= 400 else (small,):
+            narrow = RingSet(grid.coords.astype(dtype), grid.offsets)
+            assert assemble_polygons(narrow) == assemble_polygons(grid) == [Polygon(0, [1])]
+
+    def test_float_coordinates_are_refused(self):
+        grid, _ = rings_of(["111", "101", "111"])
+        with pytest.raises(ValueError, match="^grid rings hold float64 coordinates, not integers$"):
+            assemble_polygons(RingSet(grid.coords.astype(float), grid.offsets))
 
 
 def assembly_outcome(assemble, grid_rings):

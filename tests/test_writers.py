@@ -87,6 +87,11 @@ class TestGeojson:
         with pytest.raises(ValueError):
             write_geojson([], polygons=[], mode="blobs")
 
+    def test_polygon_index_out_of_range(self):
+        _, world = pipeline(["111", "101", "111"])
+        with pytest.raises(ValueError, match="^polygon 1 refers to ring 5, but there are 2 rings$"):
+            write_geojson(world, [Polygon(0, [1]), Polygon(5)])
+
     def test_crs_foreign_member(self):
         doc = json.loads(write_geojson([], polygons=[], crs="EPSG:32633"))
         assert doc["crs"] == "EPSG:32633"
@@ -120,6 +125,14 @@ class TestWkt:
         assert write_wkt(world, assemble_polygons(grid)) == (
             "POLYGON ((0 0, 0 3, 3 3, 3 0, 0 0), (1 1, 2 1, 2 2, 1 2, 1 1))"
         )
+
+    def test_polygon_index_out_of_range(self):
+        # A negative index would pick a ring from the end, as in a list.
+        _, world = pipeline(["111", "101", "111"])
+        with pytest.raises(ValueError, match="^polygon 0 refers to ring -1, but there are 2 rings$"):
+            write_wkt(world, [Polygon(-1)])
+        with pytest.raises(ValueError, match="^polygon 0 refers to ring 2, but there are 2 rings$"):
+            write_wkt(world, [Polygon(0, [1, 2])])
 
     def test_non_integer_coordinates(self):
         tr = AffineTransform(0.5, 0.0, 0.0, 0.0, 0.5, 0.0)
