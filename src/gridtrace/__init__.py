@@ -20,6 +20,7 @@ from .raster import (
 )
 from .rings import (
     Polygon,
+    PolygonSet,
     RingSet,
     RingTraversalError,
     TopologyError,
@@ -56,6 +57,7 @@ __all__ = [
     "MaskHeaderError",
     "MaskTruncatedError",
     "Polygon",
+    "PolygonSet",
     "RingSet",
     "RingTraversalError",
     "ShapeReport",

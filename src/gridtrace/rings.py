@@ -33,7 +33,11 @@ Polygon assembly gives every hole its parent border in one scan, after
 Suzuki & Abe (CVGIP 30(1), 1985): the unit edge just left of a hole's
 top-left edge belongs to the exterior that owns it or to another of that
 exterior's holes. Sorting the vertical unit edges once makes this
-O(P log P) in the vertical perimeter P.
+O(P log P) in the vertical perimeter P. The polygons come out as a
+`PolygonSet` in GeoArrow's polygon layout: one array of ring indices, each
+polygon's outer ring first and its holes after it, cut into polygons by an
+offsets array and filled by scatters, with no object per polygon. A
+hand-built list of `Polygon`s is accepted wherever polygons are consumed.
 """
 
 from __future__ import annotations
@@ -50,6 +54,7 @@ from .transform import IDENTITY, AffineTransform
 
 __all__ = [
     "Polygon",
+    "PolygonSet",
     "RingSet",
     "RingTraversalError",
     "TopologyError",
@@ -87,19 +92,7 @@ class RingSet(Sequence):
                 f"ring coordinates hold {coords.dtype} values,"
                 " not ints or floats of at most 8 bytes"
             )
-        if offsets.ndim != 1 or offsets.dtype.kind not in "iu":
-            raise ValueError(
-                f"ring offsets are {offsets.dtype} of shape {offsets.shape}, not 1-D integers"
-            )
-        if not len(offsets) or offsets[0] != 0 or offsets[-1] != len(coords):
-            span = f"run from {offsets[0]} to {offsets[-1]}" if len(offsets) else "are empty"
-            raise ValueError(f"ring offsets {span}, not from 0 to {len(coords)}")
-        shrinking = np.flatnonzero(offsets[1:] < offsets[:-1])
-        if shrinking.size:
-            k = shrinking[0]
-            raise ValueError(
-                f"ring {k} ends at offset {offsets[k + 1]}, before its start {offsets[k]}"
-            )
+        _check_offsets(offsets, len(coords), "ring")
         coords.setflags(write=False)
         offsets.setflags(write=False)
         self.coords, self.offsets = coords, offsets
@@ -126,12 +119,79 @@ class RingSet(Sequence):
             yield self.coords[start:end]
 
 
+def _check_offsets(offsets: np.ndarray, size: int, item: str) -> None:
+    """Raise ValueError naming the problem unless `offsets` are 1-D
+    integers rising from 0 to `size`; `item` names what they cut out."""
+    if offsets.ndim != 1 or offsets.dtype.kind not in "iu":
+        raise ValueError(
+            f"{item} offsets are {offsets.dtype} of shape {offsets.shape}, not 1-D integers"
+        )
+    if not len(offsets) or offsets[0] != 0 or offsets[-1] != size:
+        span = f"run from {offsets[0]} to {offsets[-1]}" if len(offsets) else "are empty"
+        raise ValueError(f"{item} offsets {span}, not from 0 to {size}")
+    shrinking = np.flatnonzero(offsets[1:] < offsets[:-1])
+    if shrinking.size:
+        k = shrinking[0]
+        raise ValueError(
+            f"{item} {k} ends at offset {offsets[k + 1]}, before its start {offsets[k]}"
+        )
+
+
 @dataclass
 class Polygon:
     """One outer ring with its holes, both as indices into the ring set."""
 
     outer: int
     holes: list[int] = field(default_factory=list)
+
+
+class PolygonSet(Sequence):
+    """Polygons in GeoArrow's polygon layout, as indices into a ring set:
+    polygon k is rings[offsets[k]:offsets[k+1]], outer ring first.
+    Indexing and iteration build Polygon(outer, holes) items from the
+    arrays on access; changing an item leaves the set as it was.
+
+    Raises ValueError naming the problem for ring indices that are not 1-D
+    integers, for offsets that do not rise from 0 to len(rings), and for a
+    polygon with no rings."""
+
+    def __init__(self, rings: np.ndarray, offsets: np.ndarray):
+        if rings.ndim != 1 or rings.dtype.kind not in "iu":
+            raise ValueError(
+                f"polygon rings are {rings.dtype} of shape {rings.shape}, not 1-D integers"
+            )
+        _check_offsets(offsets, len(rings), "polygon")
+        empty = np.flatnonzero(offsets[1:] == offsets[:-1])
+        if empty.size:
+            raise ValueError(f"polygon {empty[0]} has no rings, so no outer ring")
+        rings.setflags(write=False)
+        offsets.setflags(write=False)
+        self.rings, self.offsets = rings, offsets
+
+    @classmethod
+    def of(cls, polygons) -> PolygonSet:
+        """Pack hand-built Polygons; a PolygonSet passes through. Indices are
+        read in the dtype numpy gives them, so that a float or an int beyond
+        uint64 is refused, not cast."""
+        if isinstance(polygons, PolygonSet):
+            return polygons
+        members = [[p.outer, *p.holes] for p in polygons]
+        offsets = np.cumsum([0] + [len(m) for m in members], dtype=np.int64)
+        rings = [k for m in members for k in m]
+        return cls(np.array(rings) if rings else np.empty(0, np.int64), offsets)
+
+    def __len__(self) -> int:
+        return len(self.offsets) - 1
+
+    def __getitem__(self, k: int) -> Polygon:
+        k = range(len(self))[k]  # negative indexes count from the end, as in a list
+        outer, *holes = self.rings[self.offsets[k] : self.offsets[k + 1]].tolist()
+        return Polygon(outer, holes)
+
+    def __iter__(self):
+        rings = self.rings.tolist()
+        for start, end in pairwise(self.offsets.tolist()):
+            yield Polygon(rings[start], rings[start + 1 : end])
 
 
 def form_rings(
@@ -334,7 +394,7 @@ def signed_area(ring) -> float:
     return float(cross.sum()) / 2
 
 
-def assemble_polygons(grid_rings) -> list[Polygon]:
+def assemble_polygons(grid_rings) -> PolygonSet:
     """Group rings into polygons: negative-area rings are exteriors,
     positive-area rings attach as holes of the exterior of the region that
     surrounds them.
@@ -349,10 +409,11 @@ def assemble_polygons(grid_rings) -> list[Polygon]:
     key, so pointer jumping reaches an exterior. Cost: O(P log P) in the
     vertical perimeter P, with arrays of size O(P).
 
-    Exteriors come out in ring order, each with its holes in ascending ring
-    order. Raises TopologyError for zero-area rings (the lowest index is
-    reported) and for holes that no exterior surrounds, and ValueError for
-    float coordinates. Bool and integer coordinates are read as int64.
+    Returns a PolygonSet: exteriors in ring order, each followed by its
+    holes in ascending ring order. Raises TopologyError for zero-area
+    rings (the lowest index is reported) and for holes that no exterior
+    surrounds, and ValueError for float coordinates. Bool and integer
+    coordinates are read as int64.
     """
     rings = RingSet.of(grid_rings, np.int64)
     if rings.coords.dtype.kind == "f":
@@ -405,18 +466,23 @@ def assemble_polygons(grid_rings) -> list[Polygon]:
             break
         owner = jumped
 
-    orphans = holes[owner[holes] == n]
+    owner = owner[holes]
+    orphans = holes[owner == n]
     if len(orphans):
         hid = int(orphans[0])
-        start = tuple(coords[rings.offsets[hid]])
+        start = tuple(coords[rings.offsets[hid]].tolist())
         raise TopologyError(
             f"hole ring {hid} at {start} is inside no exterior ring", ring_index=hid
         )
-    by_owner = holes[np.argsort(owner[holes], kind="stable")].tolist()
-    counts = np.bincount(owner[holes], minlength=n)
-    ends = np.cumsum(counts)
-    starts, ends = (ends - counts).tolist(), ends.tolist()
-    return [
-        Polygon(o, by_owner[starts[o] : ends[o]])
-        for o in np.flatnonzero(twice_area < 0).tolist()
-    ]
+    # Polygon k is exterior k, then the holes it owns. Exteriors and owners
+    # both rise with k, so the holes, stable-sorted by owner, fill the slots
+    # after the exteriors in order.
+    exteriors = np.flatnonzero(twice_area < 0)
+    offsets = np.zeros(len(exteriors) + 1, np.int64)
+    np.add.accumulate(np.bincount(owner, minlength=n)[exteriors] + 1, out=offsets[1:])
+    members = np.empty(offsets[-1], np.int64)
+    members[offsets[:-1]] = exteriors
+    in_hole_slot = np.ones(len(members), bool)
+    in_hole_slot[offsets[:-1]] = False
+    members[in_hole_slot] = holes[np.argsort(owner, kind="stable")]
+    return PolygonSet(members, offsets)

@@ -202,7 +202,7 @@ def assemble_polygons_bruteforce(grid_rings) -> list[Polygon]:
                 if best_area is None or size < best_area:
                     best, best_area = o, size
         if best < 0:
-            start = tuple(rings[hid][0])
+            start = tuple(rings[hid][0].tolist())
             raise TopologyError(
                 f"hole ring {hid} at {start} is inside no exterior ring", ring_index=hid
             )

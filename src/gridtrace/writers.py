@@ -1,7 +1,13 @@
 """Serialize traced rings to GeoJSON, WKT, and benchmark tables to CSV.
 
-Each distinct coordinate value is formatted once, and numpy indexing picks
-its token for every position; GeoJSON has the same bytes as json.dumps gives.
+Both writers build the whole text with one join over one array of pieces,
+laid out ring by ring in polygon order: the ring's head, an x token and a
+y token per position, and the ring's tail. Each distinct coordinate value
+is formatted once, and numpy indexing picks every position's tokens; a
+ring's first position takes its x token from a table without the leading
+", ". The heads and tails of polygons and of the whole collection are
+written into the head and tail slots of their first and last rings, which
+the polygon offsets give. GeoJSON has the same bytes as json.dumps gives.
 
 Ring winding is passed through untouched: with a north-up transform the
 traced orientation already gives counterclockwise exteriors and clockwise
@@ -11,36 +17,17 @@ holes, so nothing is re-wound here.
 from __future__ import annotations
 
 import json
-from itertools import pairwise
 
 import numpy as np
 
-from .rings import Polygon, RingSet
+from .rings import Polygon, PolygonSet, RingSet
 
 __all__ = ["write_geojson", "write_timing_csv", "write_wkt"]
 
 
-def _checked(world_rings) -> RingSet:
-    """The rings as a float RingSet. Raises ValueError naming the lowest ring
-    that is not closed, then the lowest ring with a non-finite position:
-    JSON and WKT have no NaN or Infinity."""
-    rings = RingSet.of(world_rings, float)
-    coords, starts, ends = rings.coords, rings.offsets[:-1], rings.offsets[1:]
-    closed = ends - starts >= 2
-    full = np.flatnonzero(closed)
-    closed[full] = (coords[starts[full]] == coords[ends[full] - 1]).all(axis=1)
-    if not closed.all():
-        raise ValueError(f"ring {np.argmin(closed)} is not closed (first position must equal last)")
-    finite = np.isfinite(coords).all(axis=1)
-    if not finite.all():
-        ring = np.searchsorted(rings.offsets, np.argmin(finite), side="right") - 1
-        raise ValueError(f"ring {ring} has a non-finite position")
-    return rings
-
-
 def write_geojson(
     world_rings,
-    polygons: list[Polygon] | None = None,
+    polygons: PolygonSet | list[Polygon] | None = None,
     crs: str | None = None,
     *,
     mode: str | None = None,
@@ -61,63 +48,130 @@ def write_geojson(
         raise ValueError(f"unknown GeoJSON mode {mode!r}")
     if mode == "polygons" and polygons is None:
         raise ValueError("mode='polygons' requires the polygon grouping")
-    rings = _checked(world_rings)
+    crs_member = "" if crs is None else ', "crs": ' + json.dumps(crs, allow_nan=False)
+    collection = ('{"type": "FeatureCollection", "features": [', "]" + crs_member + "}")
     if polygons is None or mode == "rings":
-        features = _ring_texts(rings, _json_numbers, "[%s, %s]", _FEATURE % "LineString")
+        polygons, kind, ring = None, "LineString", ("", "")
     else:
-        texts = _ring_texts(rings, _json_numbers, "[%s, %s]", "[%s]")
-        features = _polygon_texts(texts, polygons, _FEATURE % "Polygon")
-        del texts  # the features hold a copy
-    head = '{"type": "FeatureCollection", "features": ['
-    tail = "]" + ("" if crs is None else ', "crs": ' + json.dumps(crs, allow_nan=False)) + "}"
-    if not features:
-        return head + tail
-    # One join over the whole text: the affixes go onto the end features.
-    features[0] = head + features[0]
-    features[-1] += tail
-    return ", ".join(features)
+        polygons, kind, ring = PolygonSet.of(polygons), "Polygon", ("[", "]")
+    feature = (
+        '{"type": "Feature", "geometry": {"type": "%s", "coordinates": [' % kind,
+        ']}, "properties": {}}',
+    )
+    return _text(world_rings, polygons, _json_numbers, "[%s, %s]", collection, feature, ring)
 
 
-_FEATURE = '{"type": "Feature", "geometry": {"type": "%s", "coordinates": [%%s]}, "properties": {}}'
-
-
-def write_wkt(world_rings, polygons: list[Polygon]) -> str:
+def write_wkt(world_rings, polygons: PolygonSet | list[Polygon]) -> str:
     """Serialize polygons as WKT: POLYGON for one, MULTIPOLYGON otherwise.
     Open rings and non-finite positions raise ValueError naming the ring."""
-    texts = _ring_texts(_checked(world_rings), _wkt_numbers, "%s %s", "(%s)")
-    bodies = _polygon_texts(texts, polygons, "(%s)")
-    del texts  # the bodies hold a copy
-    if not bodies:
-        return "MULTIPOLYGON EMPTY"
-    if len(bodies) == 1:
-        return f"POLYGON {bodies[0]}"
-    return "MULTIPOLYGON (" + ", ".join(bodies) + ")"
+    polygons = PolygonSet.of(polygons)
+    collection = {0: ("MULTIPOLYGON EMPTY", ""), 1: ("POLYGON ", "")}.get(
+        len(polygons), ("MULTIPOLYGON (", ")")
+    )
+    return _text(world_rings, polygons, _wkt_numbers, "%s %s", collection, ("(", ")"), ("(", ")"))
 
 
-def _ring_texts(rings: RingSet, numbers, position: str, ring: str) -> list[str]:
-    """Each ring's text in the `ring` template, of positions in the `position`
-    template. `numbers` turns a column's distinct values, told apart by their
-    bits in its own dtype so that -0.0 keeps its sign, into their tokens."""
-    head, mid, tail = position.split("%s")
-    pieces = np.empty(2 * len(rings.coords), dtype=object)
-    affixes = [(", " + head, mid), ("", tail)]  # each ring's text drops its first ", "
-    for i, (col, (before, after)) in enumerate(zip(rings.coords.T, affixes, strict=True)):
+def _text(world_rings, polygons, numbers, position, collection, polygon, ring) -> str:
+    """The collection's head, its polygons and its tail, with ", " between
+    neighbours. Each polygon is its rings between the `polygon` (head,
+    tail), each ring its positions between the `ring` ones, and each
+    position fills the `position` template. `polygons` None makes each
+    ring, in order, a polygon of its own. `numbers` turns a column's
+    distinct values, told apart by their bits in its own dtype so that
+    -0.0 keeps its sign, into their tokens.
+
+    Raises ValueError naming the lowest ring that is not closed, then the
+    lowest ring with a non-finite position (JSON and WKT have no NaN or
+    Infinity), then the first polygon, ring by ring, that refers to an
+    index that is not a ring's."""
+    rings = RingSet.of(world_rings, float)
+    coords, offsets, n = rings.coords, rings.offsets, len(rings)
+    starts, ends = offsets[:-1], offsets[1:]
+    closed = ends - starts >= 2
+    full = np.flatnonzero(closed)
+    closed[full] = (coords[starts[full]] == coords[ends[full] - 1]).all(axis=1)
+    if not closed.all():
+        raise ValueError(f"ring {np.argmin(closed)} is not closed (first position must equal last)")
+    # Token codes run below 3N + 6, and positions index the N coordinates.
+    index = np.int32 if 3 * len(coords) + 6 <= np.iinfo(np.int32).max else np.int64
+    values, codes = [], []
+    for col in coords.T:
         keys, inverse = np.unique(col.view(f"i{col.itemsize}"), return_inverse=True)
-        tokens = [before + t + after for t in numbers(keys.view(col.dtype).tolist())]
-        pieces[i::2] = np.array(tokens, dtype=object)[inverse]
+        values.append(keys.view(col.dtype))
+        codes.append(inverse.astype(index))
+        del inverse
+    if not all(np.isfinite(v).all() for v in values):
+        finite = np.isfinite(coords).all(axis=1)  # only the whole buffer names the ring
+        k = np.searchsorted(offsets, np.argmin(finite), side="right") - 1
+        raise ValueError(f"ring {k} has a non-finite position")
+    if polygons is None:
+        polygons = PolygonSet(np.arange(n), np.arange(n + 1))
+    members, groups = polygons.rings, polygons.offsets
+    bad = np.flatnonzero((members < 0) | (members >= n))
+    if bad.size:
+        k = np.searchsorted(groups, bad[0], side="right") - 1
+        raise ValueError(f"polygon {k} refers to ring {members[bad[0]]}, but there are {n} rings")
+    if not len(polygons):
+        return "".join(collection)
+
+    # The token table: a ring's first x, every other x, every y; then the
+    # heads of a ring, of a polygon's first ring and of the collection's
+    # first ring, and the tails of a ring, of a polygon's last ring and of
+    # the collection's last ring.
+    before, mid, after = position.split("%s")
+    xs, ys = (numbers(v.tolist()) for v in values)
+    table = np.array(
+        [before + t + mid for t in xs]
+        + [", " + before + t + mid for t in xs]
+        + [t + after for t in ys]
+        + [", " + ring[0], ", " + polygon[0] + ring[0], collection[0] + polygon[0] + ring[0]]
+        + [ring[1], ring[1] + polygon[1], ring[1] + polygon[1] + collection[1]],
+        dtype=object,
+    )
+    head_code = 2 * len(xs) + len(ys)
+
+    # Ring j of the output, ring members[j] of the input, fills the pieces
+    # from head_at[j] to tail_at[j]; its positions are first[j] onwards.
+    lengths = np.diff(offsets)[members]
+    tail_at = np.cumsum(2 * lengths + 2) - 1
+    head_at = tail_at - 2 * lengths - 1
+    first = np.cumsum(lengths) - lengths
+    pieces = np.empty(tail_at[-1] + 1, index)
+    pieces[head_at] = head_code
+    pieces[head_at[groups[1:-1]]] += 1
+    pieces[0] += 2
+    pieces[tail_at] = head_code + 3
+    pieces[tail_at[groups[1:] - 1]] += 1
+    pieces[-1] += 1
+    src = _positions(offsets, members, first, lengths, index)
+    x_of, y_of = codes
+    xy = np.empty((len(pieces) // 2 - len(members), 2), index)
+    xy[:, 0] = x_of[src]
+    xy[:, 0] += len(xs)
+    xy[first, 0] -= len(xs)
+    xy[:, 1] = y_of[src]
+    xy[:, 1] += 2 * len(xs)
+    del src, x_of, y_of, codes
+    at = np.ones(len(pieces), bool)
+    at[head_at] = at[tail_at] = False
+    pieces[at] = xy.ravel()
+    del xy, at
+    # Each rebinding drops the array before it, so the join holds only the
+    # list and the text.
+    pieces = table[pieces]
     pieces = pieces.tolist()
-    return [ring % "".join(pieces[2 * s : 2 * e])[2:] for s, e in pairwise(rings.offsets.tolist())]
+    return "".join(pieces)
 
 
-def _polygon_texts(texts: list[str], polygons: list[Polygon], template: str) -> list[str]:
-    """Each polygon's rings in the `template`, outer ring first. Raises
-    ValueError naming the first polygon with an index that is not a ring's."""
-    members = [[p.outer, *p.holes] for p in polygons]
-    every = [k for ks in members for k in ks]
-    if every and not 0 <= min(every) <= max(every) < len(texts):
-        i, k = next((i, k) for i, ks in enumerate(members) for k in ks if not 0 <= k < len(texts))
-        raise ValueError(f"polygon {i} refers to ring {k}, but there are {len(texts)} rings")
-    return [template % ", ".join([texts[k] for k in ks]) for ks in members]
+def _positions(offsets, members, first, lengths, index) -> np.ndarray:
+    """The index in the coordinates of every position of the rings
+    `members`, in that order; ring j's positions start at first[j]."""
+    starts = offsets[members]
+    step = np.ones(first[-1] + lengths[-1], index)
+    # A ring's first step jumps from the last position of the ring before.
+    step[first[1:]] = starts[1:] - (starts[:-1] + lengths[:-1] - 1)
+    step[0] = starts[0]
+    return np.add.accumulate(step, out=step)
 
 
 def _json_numbers(values: list) -> list[str]:

@@ -209,8 +209,9 @@ def test_assembly_scales_near_linearly():
         grid, _ = form_rings(detect(bernoulli(size, size, 0.5, 4242)))
         times = []
         for _ in range(5):
-            # Assembly allocates one Polygon per exterior, so a collection
-            # landing in one run would time the collector.
+            # Assembly allocates a few dozen arrays and no object per
+            # polygon, but a collection that earlier allocations set off
+            # could still land in one run and time the collector.
             gc.disable()
             try:
                 t0 = time.perf_counter()

@@ -22,19 +22,26 @@ from hypothesis.extra.numpy import arrays  # noqa: E402
 
 from conftest import TEXT_ORACLES, parse_outcome, walk_outcomes  # noqa: E402
 from gridtrace import (  # noqa: E402
+    IDENTITY,
     BitRaster,
     Delineation,
     MaskError,
+    Polygon,
+    PolygonSet,
+    bernoulli,
     detect,
     form_rings,
     parse_mask,
     rasterize_even_odd,
     sniff_mask_format,
+    write_geojson,
     write_mask,
+    write_wkt,
 )
 from gridtrace.cli import main  # noqa: E402
 from gridtrace.raster import MASK_FORMATS, _pbm_header  # noqa: E402
 from gridtrace.verify import pbm_header_bruteforce  # noqa: E402
+from test_writers import NORTH_UP, ROTATED, reference_geojson, reference_wkt  # noqa: E402
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
@@ -246,3 +253,25 @@ def test_delineate_exits_zero_or_one_with_one_line_of_error(tmp_path, mask, worl
         assert code == 1
         assert err.startswith("gridtrace: error: ") and err.endswith("\n")
         assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@st.composite
+def groupings(draw):
+    """World rings of a small traced mask, and polygons that index them in
+    any order: holes listed before their outer ring, repeated rings, no
+    holes, no polygons."""
+    transform = draw(st.sampled_from([IDENTITY, NORTH_UP, ROTATED]))
+    _, world = form_rings(detect(bernoulli(9, 7, 0.5, draw(st.integers(0, 3)))), transform)
+    members = st.lists(st.integers(0, len(world) - 1), min_size=1, max_size=4)
+    return world, [Polygon(m[0], m[1:]) for m in draw(st.lists(members, max_size=6))]
+
+
+@PROPERTY
+@given(case=groupings())
+def test_writers_read_hand_built_groupings_and_polygon_sets_alike(case):
+    world, polygons = case
+    packed = PolygonSet.of(polygons)
+    assert list(packed) == polygons
+    for grouping in (polygons, packed):
+        assert write_geojson(world, grouping) == reference_geojson(world, polygons)
+        assert write_wkt(world, grouping) == reference_wkt(world, polygons)

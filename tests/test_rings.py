@@ -7,6 +7,7 @@ from gridtrace import (
     BitRaster,
     Delineation,
     Polygon,
+    PolygonSet,
     RingSet,
     RingTraversalError,
     TopologyError,
@@ -261,6 +262,59 @@ class TestRingSet:
             RingSet(np.zeros((5, 2)), np.array([0, 4, 2, 5]))
 
 
+class TestPolygonSet:
+    def test_reads_like_a_list_of_polygons(self):
+        polygons = PolygonSet(np.array([3, 0, 1, 2]), np.array([0, 3, 4]))
+        assert len(polygons) == 2
+        assert polygons[0] == Polygon(3, [0, 1]) and polygons[-1] == Polygon(2, [])
+        assert list(polygons) == [Polygon(3, [0, 1]), Polygon(2, [])]
+        assert [type(k) for p in polygons for k in [p.outer, *p.holes]] == [int] * 4
+        for k in (2, -3):
+            with pytest.raises(IndexError):
+                polygons[k]
+        assert not polygons.rings.flags.writeable and not polygons.offsets.flags.writeable
+
+    def test_of_round_trips_hand_built_polygons(self):
+        hand_built = [Polygon(2, [0, 0]), Polygon(1), Polygon(5, [3])]
+        packed = PolygonSet.of(hand_built)
+        assert packed.rings.tolist() == [2, 0, 0, 1, 5, 3]
+        assert packed.offsets.tolist() == [0, 3, 4, 6]
+        assert (packed.rings.dtype, packed.offsets.dtype) == (np.int64, np.int64)
+        assert list(packed) == hand_built
+        assert PolygonSet.of(packed) is packed
+        assert len(PolygonSet.of([])) == 0
+
+    @pytest.mark.parametrize("rings", [np.array([0.0, 1.0]), np.array([[0, 1]]), np.array(["0", "1"])])
+    def test_ring_indices_not_one_dimensional_integers(self, rings):
+        with pytest.raises(ValueError, match="^polygon rings are .*, not 1-D integers$"):
+            PolygonSet(rings, np.array([0, 2]))
+
+    @pytest.mark.parametrize(
+        "offsets,problem",
+        [
+            (np.array([1, 3]), "polygon offsets run from 1 to 3, not from 0 to 3"),
+            (np.array([0, 2]), "polygon offsets run from 0 to 2, not from 0 to 3"),
+            (np.array([], np.int64), "polygon offsets are empty, not from 0 to 3"),
+            (np.array([0, 2, 1, 3]), "polygon 1 ends at offset 1, before its start 2"),
+            (np.array([0.0, 3.0]), "polygon offsets are float64 of shape (2,), not 1-D integers"),
+        ],
+    )
+    def test_offsets_not_rising_from_0_to_the_ring_count(self, offsets, problem):
+        with pytest.raises(ValueError) as err:
+            PolygonSet(np.array([0, 1, 2]), offsets)
+        assert str(err.value) == problem
+
+    @pytest.mark.parametrize("outer,dtype", [(1.5, "float64"), (10**30, "object")])
+    def test_of_refuses_indices_that_are_not_integers(self, outer, dtype):
+        # Not cast: int64 would read 1.5 as ring 1.
+        with pytest.raises(ValueError, match=f"^polygon rings are {dtype} of shape"):
+            PolygonSet.of([Polygon(0), Polygon(outer)])
+
+    def test_polygon_with_no_rings(self):
+        with pytest.raises(ValueError, match="^polygon 1 has no rings, so no outer ring$"):
+            PolygonSet(np.array([0, 1, 2]), np.array([0, 2, 2, 3]))
+
+
 class TestSignedArea:
     def test_single_pixel_ring(self):
         grid, _ = rings_of(["1"])
@@ -288,17 +342,17 @@ class TestAssemblePolygons:
     def test_ring_of_pixels_with_hole(self):
         grid, _ = rings_of(["111", "101", "111"])
         polys = assemble_polygons(grid)
-        assert polys == [Polygon(outer=0, holes=[1])]
+        assert list(polys) == [Polygon(outer=0, holes=[1])]
         assert signed_area(grid[0]) == -9
         assert signed_area(grid[1]) == 1
 
     def test_disjoint_blobs_have_no_holes(self):
         grid, _ = rings_of(["10", "01"])
-        assert assemble_polygons(grid) == [Polygon(0, []), Polygon(1, [])]
+        assert list(assemble_polygons(grid)) == [Polygon(0, []), Polygon(1, [])]
 
     def test_single_pixel(self):
         grid, _ = rings_of(["1"])
-        assert assemble_polygons(grid) == [Polygon(0, [])]
+        assert list(assemble_polygons(grid)) == [Polygon(0, [])]
 
     def test_island_inside_lake(self):
         rows = [
@@ -321,13 +375,21 @@ class TestAssemblePolygons:
         small = [(2, 2), (2, 8), (8, 8), (8, 2), (2, 2)]
         hole = [(4, 4), (6, 4), (6, 6), (4, 6), (4, 4)]
         polys = assemble_polygons([big, small, hole])
-        assert polys == [Polygon(0, []), Polygon(1, [2])]
+        assert list(polys) == [Polygon(0, []), Polygon(1, [2])]
 
     def test_orphan_hole_is_a_topology_error(self):
         hole = [(0, 0), (1, 0), (1, 1), (0, 1), (0, 0)]
         with pytest.raises(TopologyError) as err:
             assemble_polygons([hole])
         assert err.value.ring_index == 0
+
+    @pytest.mark.parametrize("assemble", [assemble_polygons, assemble_polygons_bruteforce])
+    @pytest.mark.parametrize("pack", [list, lambda rings: RingSet.of(rings, np.int64)])
+    def test_orphan_hole_message_names_its_first_corner(self, assemble, pack):
+        hole = [(1, 1), (2, 1), (2, 2), (1, 2), (1, 1)]
+        with pytest.raises(TopologyError) as err:
+            assemble(pack([hole]))
+        assert str(err.value) == "hole ring 0 at (1, 1) is inside no exterior ring"
 
     def test_zero_area_ring_is_a_topology_error(self):
         flat = [(0, 0), (0, 1), (0, 0)]
@@ -343,7 +405,7 @@ class TestAssemblePolygons:
         large, _ = form_rings(detect(BitRaster(400, 400, bits)))
         for grid in (small, large) if np.iinfo(dtype).max >= 400 else (small,):
             narrow = RingSet(grid.coords.astype(dtype), grid.offsets)
-            assert assemble_polygons(narrow) == assemble_polygons(grid) == [Polygon(0, [1])]
+            assert list(assemble_polygons(narrow)) == list(assemble_polygons(grid)) == [Polygon(0, [1])]
 
     def test_float_coordinates_are_refused(self):
         grid, _ = rings_of(["111", "101", "111"])
@@ -354,7 +416,7 @@ class TestAssemblePolygons:
 def assembly_outcome(assemble, grid_rings):
     """The polygons, or the failing ring's index and error text."""
     try:
-        return assemble(grid_rings)
+        return list(assemble(grid_rings))
     except TopologyError as err:
         return ("TopologyError", err.ring_index, str(err))
 
@@ -377,7 +439,7 @@ class TestAssembleMatchesBruteforce:
             for h in range(1, 5):
                 for mask in range(2 ** (w * h)):
                     grid, _ = form_rings(detect(raster_from_int(w, h, mask)))
-                    if assemble_polygons(grid) != assemble_polygons_bruteforce(grid):
+                    if list(assemble_polygons(grid)) != assemble_polygons_bruteforce(grid):
                         mismatches.append((w, h, mask))
         assert mismatches == []
 
@@ -388,7 +450,7 @@ class TestAssembleMatchesBruteforce:
             p = 0.1 + 0.8 * (i % 17) / 16
             w, h = (64, 64) if i < 17 else (int(v) for v in rng.integers(1, 65, 2))
             grid, _ = form_rings(detect(bernoulli(w, h, p, 2_000_000 + i)))
-            if assemble_polygons(grid) != assemble_polygons_bruteforce(grid):
+            if list(assemble_polygons(grid)) != assemble_polygons_bruteforce(grid):
                 mismatches.append((w, h, p, i))
         assert mismatches == []
 
@@ -422,7 +484,7 @@ class TestAssembleMatchesBruteforce:
     )
     def test_traced_nesting(self, rows):
         grid, _ = rings_of(rows)
-        assert assemble_polygons(grid) == assemble_polygons_bruteforce(grid)
+        assert list(assemble_polygons(grid)) == assemble_polygons_bruteforce(grid)
 
 
 @pytest.mark.parametrize("seed,p", [(0, 0.5), (1, 0.2), (2, 0.8), (3, 0.5)])

@@ -8,6 +8,7 @@ from gridtrace import (
     AffineTransform,
     BitRaster,
     Polygon,
+    PolygonSet,
     RingSet,
     TimingRecord,
     assemble_polygons,
@@ -92,6 +93,15 @@ class TestGeojson:
         with pytest.raises(ValueError, match="^polygon 1 refers to ring 5, but there are 2 rings$"):
             write_geojson(world, [Polygon(0, [1]), Polygon(5)])
 
+    def test_index_out_of_range_in_a_later_polygon(self):
+        _, world = pipeline(["111", "101", "111"])
+        polygons = [Polygon(0, [1]), Polygon(1), Polygon(0, [1, 1, -2]), Polygon(7)]
+        message = "^polygon 2 refers to ring -2, but there are 2 rings$"
+        for grouping in (polygons, PolygonSet.of(polygons)):
+            for write in (write_geojson, write_wkt):
+                with pytest.raises(ValueError, match=message):
+                    write(world, grouping)
+
     def test_crs_foreign_member(self):
         doc = json.loads(write_geojson([], polygons=[], crs="EPSG:32633"))
         assert doc["crs"] == "EPSG:32633"
@@ -169,6 +179,22 @@ class TestWkt:
         assert sorted(tuple(r) for r in parsed) == emitted
 
 
+def test_assembly_result_reads_as_the_benchmark_reads_it():
+    # The benchmark's tracer counts len() and the holes of the result, and
+    # its self-tests index it, enumerate it and hand-build list[Polygon].
+    grid, world = pipeline(["11111", "10001", "10101", "10001", "11111"])
+    polygons = assemble_polygons(grid)
+    assert len(polygons) == 2 and sum(len(p.holes) for p in polygons) == 1
+    assert [polygons[i].outer for i in range(len(polygons))] == [0, 2]
+    assert [(i, p.outer, p.holes) for i, p in enumerate(polygons)] == [(0, 0, [1]), (1, 2, [])]
+    hand_built = [Polygon(p.outer, list(p.holes)) for p in polygons]
+    text = write_geojson(world, polygons)
+    assert write_geojson(world, hand_built) == write_geojson(world, polygons, mode="polygons") == text
+    assert write_geojson(world, polygons, mode="rings") == write_geojson(world)
+    assert write_wkt(world, hand_built) == write_wkt(world, polygons)
+    assert json.loads(text)["features"][0]["geometry"]["type"] == "Polygon"
+
+
 class TestTimingCsv:
     def test_header_only(self):
         assert write_timing_csv([]) == "size,p,trials,mean_seconds,stddev_seconds\n"
@@ -195,7 +221,7 @@ def test_ring_set_and_list_of_arrays_give_the_same_output(seed):
     grid, world = form_rings(detect(bernoulli(24, 20, 0.1 + 0.15 * seed, 500 + seed)), tr)
     grid_list, world_list = ([np.array(r) for r in rings] for rings in (grid, world))
     polygons = assemble_polygons(grid)
-    assert assemble_polygons(grid_list) == polygons
+    assert list(assemble_polygons(grid_list)) == list(polygons)
     assert write_geojson(world_list, polygons) == write_geojson(world, polygons)
     assert write_geojson(world_list) == write_geojson(world)
     assert write_wkt(world_list, polygons) == write_wkt(world, polygons)
