@@ -128,7 +128,7 @@ def _emit(data: str | bytes, output: str) -> None:
 def cmd_delineate(args) -> int:
     data = Path(args.input).read_bytes()
     raster = parse_mask(data, sniff_mask_format(data))
-    transform = parse_world_file(Path(args.world).read_text()) if args.world else IDENTITY
+    transform = _read_world_file(args.world) if args.world else IDENTITY
     grid_rings, world_rings = form_rings(detect(raster), transform)
     if args.format == "rings-geojson":
         out = write_geojson(world_rings, crs=args.crs)
@@ -138,6 +138,20 @@ def cmd_delineate(args) -> int:
         out = write_geojson(world_rings, assemble_polygons(grid_rings), crs=args.crs)
     _emit(out, args.output)
     return 0
+
+
+def _read_world_file(path: str):
+    """Parse the world file at `path`; raises WorldFileError naming the file
+    and the byte offset if it is not UTF-8 text."""
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode()
+    except UnicodeDecodeError as exc:
+        raise WorldFileError(
+            f"world file {path!r} is not UTF-8 text:"
+            f" byte {data[exc.start]:#04x} at offset {exc.start}"
+        ) from None
+    return parse_world_file(text)
 
 
 def cmd_gen(args) -> int:
@@ -166,3 +180,7 @@ def cmd_bench(args) -> int:
         if not shape.ok:
             return 1
     return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -22,7 +22,11 @@ costs no numpy call per vertex.
 A ring set is a `RingSet` in GeoArrow's ragged layout: one (N, 2) buffer of
 int64 grid corners or float world positions, cut into closed rings by an
 offsets array. Hand-built rings as lists of coordinate pairs are accepted
-everywhere rings are consumed.
+everywhere rings are consumed. The world set that `form_rings` returns also
+keeps, privately, the grid corners and the transform it came from, so that
+the writers can read a north-up set's tokens off the grid axes without
+sorting its positions; any other ring set, a copy of that one's buffers
+included, has no such record.
 
 Orientation falls out of the wiring: with y growing downward, outer rings
 have negative shoelace area and hole rings positive. A north-up transform
@@ -83,6 +87,10 @@ class RingSet(Sequence):
     A hand-built buffer may hold any bools, ints or floats of at most 8
     bytes. Raises ValueError naming the problem for any other buffer, or
     for offsets that are not 1-D integers rising from 0 to N."""
+
+    # The grid corners and the transform that `form_rings` made the world
+    # positions from, or None for any other ring set.
+    _source: tuple[np.ndarray, AffineTransform] | None = None
 
     def __init__(self, coords: np.ndarray, offsets: np.ndarray):
         if coords.ndim != 2 or coords.shape[1] != 2:
@@ -250,8 +258,9 @@ def form_rings(
     grid[:, 0] = xs[closed]
     grid[:, 1] = ys[closed]
     del closed
-    world = _world(grid, transform)
-    return RingSet(grid, offsets), RingSet(world, offsets)
+    world = RingSet(_world(grid, transform), offsets)
+    world._source = (grid, transform)
+    return RingSet(grid, offsets), world
 
 
 def _world(grid: np.ndarray, t: AffineTransform) -> np.ndarray:

@@ -2,12 +2,16 @@
 
 Both writers build the whole text with one join over one array of pieces,
 laid out ring by ring in polygon order: the ring's head, an x token and a
-y token per position, and the ring's tail. Each distinct coordinate value
-is formatted once, and numpy indexing picks every position's tokens; a
-ring's first position takes its x token from a table without the leading
-", ". The heads and tails of polygons and of the whole collection are
-written into the head and tail slots of their first and last rings, which
-the polygon offsets give. GeoJSON has the same bytes as json.dumps gives.
+y token per position, and the ring's tail. Each column's token values are
+formatted once, and numpy indexing picks every position's tokens; a ring's
+first position takes its x token from a table without the leading ", ".
+World rings from `form_rings` through a north-up transform take their
+token values from the grid axes, the transform of every integer between a
+grid column's min and max, with no sort; other ring sets take them from
+each column's distinct values, found by `np.unique`. The heads and tails
+of polygons and of the whole collection are written into the head and tail
+slots of their first and last rings, which the polygon offsets give.
+GeoJSON has the same bytes as json.dumps gives.
 
 Ring winding is passed through untouched: with a north-up transform the
 traced orientation already gives counterclockwise exteriors and clockwise
@@ -20,7 +24,7 @@ import json
 
 import numpy as np
 
-from .rings import Polygon, PolygonSet, RingSet
+from .rings import Polygon, PolygonSet, RingSet, _world
 
 __all__ = ["write_geojson", "write_timing_csv", "write_wkt"]
 
@@ -76,9 +80,8 @@ def _text(world_rings, polygons, numbers, position, collection, polygon, ring) -
     neighbours. Each polygon is its rings between the `polygon` (head,
     tail), each ring its positions between the `ring` ones, and each
     position fills the `position` template. `polygons` None makes each
-    ring, in order, a polygon of its own. `numbers` turns a column's
-    distinct values, told apart by their bits in its own dtype so that
-    -0.0 keeps its sign, into their tokens.
+    ring, in order, a polygon of its own. `numbers` turns a column's token
+    values, which `_columns` gives, into their tokens.
 
     Raises ValueError naming the lowest ring that is not closed, then the
     lowest ring with a non-finite position (JSON and WKT have no NaN or
@@ -92,14 +95,10 @@ def _text(world_rings, polygons, numbers, position, collection, polygon, ring) -
     closed[full] = (coords[starts[full]] == coords[ends[full] - 1]).all(axis=1)
     if not closed.all():
         raise ValueError(f"ring {np.argmin(closed)} is not closed (first position must equal last)")
-    # Token codes run below 3N + 6, and positions index the N coordinates.
+    # Token codes run below 3N + 6, since no column has more than N token
+    # values, and positions index the N coordinates.
     index = np.int32 if 3 * len(coords) + 6 <= np.iinfo(np.int32).max else np.int64
-    values, codes = [], []
-    for col in coords.T:
-        keys, inverse = np.unique(col.view(f"i{col.itemsize}"), return_inverse=True)
-        values.append(keys.view(col.dtype))
-        codes.append(inverse.astype(index))
-        del inverse
+    values, codes = zip(*_columns(rings, index))
     if not all(np.isfinite(v).all() for v in values):
         finite = np.isfinite(coords).all(axis=1)  # only the whole buffer names the ring
         k = np.searchsorted(offsets, np.argmin(finite), side="right") - 1
@@ -161,6 +160,45 @@ def _text(world_rings, polygons, numbers, position, collection, polygon, ring) -
     pieces = table[pieces]
     pieces = pieces.tolist()
     return "".join(pieces)
+
+
+def _columns(rings: RingSet, index) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each coordinate column's token values and every position's code
+    into them, as `index` integers.
+
+    World rings that `form_rings` made through a north-up transform (b and
+    d zero, of either sign) from grid corners >= 0 read their values off
+    the grid axes: lon depends on grid x alone and lat on y alone, so a
+    column's values are the transform of every integer from its grid min
+    to its max, and a code is the grid value minus the min. `_world` on
+    (x, 0) and (0, y) gives the bits it gives every corner, since b*y and
+    d*x are one signed zero for all x, y >= 0. Every other ring set, and
+    an axis longer than its column or with a non-finite value, takes the
+    column's distinct values, told apart by their bits in its own dtype so
+    that -0.0 keeps its sign."""
+    source = rings._source
+    if source is not None and source[1].b == 0 and source[1].d == 0 and len(source[0]):
+        grid, t = source
+        axes = [(col.min(), col.max()) for col in grid.T]
+        if all(0 <= lo and hi - lo < len(grid) for lo, hi in axes):
+            (x0, x1), (y0, y1) = axes
+            nx = x1 - x0 + 1
+            corners = np.zeros((nx + y1 - y0 + 1, 2), np.int64)
+            corners[:nx, 0] = np.arange(x0, x1 + 1)
+            corners[nx:, 1] = np.arange(y0, y1 + 1)
+            world = _world(corners, t)
+            tables = world[:nx, 0], world[nx:, 1]
+            if all(np.isfinite(v).all() for v in tables):
+                return [
+                    (v, np.subtract(col, lo, out=np.empty(len(col), index), casting="unsafe"))
+                    for v, col, (lo, _) in zip(tables, grid.T, axes)
+                ]
+    return [_distinct(col, index) for col in rings.coords.T]
+
+
+def _distinct(col: np.ndarray, index) -> tuple[np.ndarray, np.ndarray]:
+    keys, inverse = np.unique(col.view(f"i{col.itemsize}"), return_inverse=True)
+    return keys.view(col.dtype), inverse.astype(index)
 
 
 def _positions(offsets, members, first, lengths, index) -> np.ndarray:

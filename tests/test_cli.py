@@ -1,10 +1,22 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
+import gridtrace
 import gridtrace.cli as cli
-from gridtrace import RingTraversalError, TimingRecord, TraceError, parse_mask
+from gridtrace import (
+    RingTraversalError,
+    TimingRecord,
+    TraceError,
+    bernoulli,
+    parse_mask,
+    write_mask,
+)
 from gridtrace.rings import TopologyError
 
 SINGLE_PIXEL_PBM = b"P1\n1 1\n1\n"
@@ -104,6 +116,17 @@ class TestDelineate:
         world = tmp_path / "mask.wld"
         world.write_text("1\n0\n0\n")
         assert cli.main(["delineate", "--input", mask, "--world", str(world)]) == 1
+
+    def test_world_file_that_is_not_utf8_is_named_with_its_offset(self, tmp_path, capsys):
+        mask = write_mask_file(tmp_path, SINGLE_PIXEL_PBM)
+        world = tmp_path / "mask.wld"
+        world.write_bytes(b"1\n0\n\xff\n-1\n0.5\n0.5\n")
+        assert cli.main(["delineate", "--input", mask, "--world", str(world)]) == 1
+        assert capsys.readouterr() == (
+            "",
+            f"gridtrace: error: world file {str(world)!r} is not UTF-8 text:"
+            " byte 0xff at offset 4\n",
+        )
 
     @pytest.mark.parametrize("value", ["nan", "inf", "1e400"])
     def test_non_finite_world_file_exits_one(self, tmp_path, capsys, value):
@@ -278,3 +301,26 @@ def test_missing_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         cli.main([])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("module", ["gridtrace", "gridtrace.cli"])
+def test_module_forms_run_the_cli(tmp_path, capsys, module):
+    mask = write_mask_file(tmp_path, write_mask(bernoulli(20, 15, 0.5, 3), "pbm-binary"))
+    good, bad = tmp_path / "good.wld", tmp_path / "bad.wld"
+    good.write_text("0.5\n0\n0\n-0.5\n10\n20\n")
+    bad.write_text("1\n0\n0\n")
+    src = str(Path(gridtrace.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    for world, code in [(good, 0), (bad, 1)]:
+        for fmt in ["geojson", "wkt", "rings-geojson"]:
+            argv = ["delineate", "--input", mask, "--world", str(world), "--format", fmt]
+            assert cli.main(argv + ["--output", str(tmp_path / "in-process")]) == code
+            err = capsys.readouterr().err
+            run = subprocess.run(
+                [sys.executable, "-m", module, *argv, "--output", str(tmp_path / "module")],
+                env=env, capture_output=True, text=True, timeout=60,
+            )
+            assert (run.returncode, run.stdout, run.stderr) == (code, "", err)
+            if code == 0:
+                assert (tmp_path / "module").read_bytes() == (tmp_path / "in-process").read_bytes()

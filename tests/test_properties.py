@@ -23,11 +23,14 @@ from hypothesis.extra.numpy import arrays  # noqa: E402
 from conftest import TEXT_ORACLES, parse_outcome, walk_outcomes  # noqa: E402
 from gridtrace import (  # noqa: E402
     IDENTITY,
+    AffineTransform,
     BitRaster,
     Delineation,
     MaskError,
     Polygon,
     PolygonSet,
+    RingSet,
+    assemble_polygons,
     bernoulli,
     detect,
     form_rings,
@@ -275,3 +278,35 @@ def test_writers_read_hand_built_groupings_and_polygon_sets_alike(case):
     for grouping in (polygons, packed):
         assert write_geojson(world, grouping) == reference_geojson(world, polygons)
         assert write_wkt(world, grouping) == reference_wkt(world, polygons)
+
+
+# Scales from subnormal to near overflow, whole numbers among them, and
+# translations that swamp the scaled corners or leave signed zeros alone.
+_magnitudes = st.one_of(
+    st.sampled_from([5e-324, 1e-300, 1e300, 1e308]),
+    st.floats(1e-9, 1e9),
+    st.integers(1, 1000).map(float),
+)
+_scales = st.builds(lambda m, flip: -m if flip else m, _magnitudes, st.booleans())
+_shifts = st.one_of(st.sampled_from([0.0, -0.0, 1e20, -1e308]), st.floats(-1e6, 1e6))
+_zeros = st.sampled_from([0.0, -0.0])
+NORTH_UP_TRANSFORMS = st.builds(AffineTransform, _scales, _zeros, _shifts, _zeros, _scales, _shifts)
+
+
+def _text_outcome(write, *args):
+    try:
+        return write(*args)
+    except ValueError as e:
+        return str(e)
+
+
+@PROPERTY
+@given(raster=rasters(), transform=NORTH_UP_TRANSFORMS)
+def test_writers_read_the_grid_axes_as_they_read_distinct_values(raster, transform):
+    # A copy of the world buffer has no grid behind it, so the writers sort
+    # its distinct values: the oracle for the tokens read off the grid axes.
+    grid, world = form_rings(detect(raster), transform)
+    copy = RingSet(world.coords, world.offsets)
+    polygons = assemble_polygons(grid)
+    for write, *args in [(write_geojson,), (write_geojson, polygons), (write_wkt, polygons)]:
+        assert _text_outcome(write, world, *args) == _text_outcome(write, copy, *args)

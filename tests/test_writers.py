@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from gridtrace import (
+    IDENTITY,
     AffineTransform,
     BitRaster,
+    Delineation,
     Polygon,
     PolygonSet,
     RingSet,
@@ -231,6 +233,18 @@ def test_ring_set_and_list_of_arrays_give_the_same_output(seed):
 # and WKT formatted position by position.
 NORTH_UP = AffineTransform(0.00025, 0.0, 12.5, 0.0, -0.00025, 48.1)
 ROTATED = AffineTransform(0.3, 0.1, -5.0, 0.07, -0.25, 3.0)
+# North-up transforms whose world rings the writers read off the grid axes.
+AXIS_ALIGNED = {
+    "north-up": NORTH_UP,
+    # a < 0 gives -0.0 at x = 0 before c is added.
+    "mirrored": AffineTransform(-0.5, 0.0, 0.25, 0.0, -0.5, 1.0),
+    "south-up": AffineTransform(0.1, 0.0, -3.0, 0.0, 0.2, -1.0),
+    "identity": IDENTITY,
+    # b = d = -0.0 with a zero translation keeps -0.0 in the output.
+    "negative-zeros": AffineTransform(-0.25, -0.0, -0.0, -0.0, -0.25, -0.0),
+    # Many grid values give one lon or lat.
+    "collapsing": AffineTransform(0.25, 0.0, 1e20, 0.0, -0.25, 1e20),
+}
 
 
 def reference_geojson(rings, polygons=None, crs=None):
@@ -274,11 +288,87 @@ def assert_byte_identical(rings, polygons, crs=None):
 
 
 class TestByteIdentity:
-    @pytest.mark.parametrize("transform", [NORTH_UP, ROTATED], ids=["north-up", "rotated"])
+    @pytest.mark.parametrize(
+        "transform", [*AXIS_ALIGNED.values(), ROTATED], ids=[*AXIS_ALIGNED, "rotated"]
+    )
     @pytest.mark.parametrize("seed,p", [(1, 0.3), (2, 0.5), (3, 0.7), (4, 0.05)])
     def test_random_masks(self, transform, seed, p):
         grid, world = form_rings(detect(bernoulli(40, 30, p, 900 + seed)), transform)
         assert_byte_identical(world, assemble_polygons(grid))
+
+    @pytest.mark.parametrize("zero,corner", [(-0.0, "[-0.0, -0.0]"), (0.0, "[0.0, 0.0]")])
+    def test_signed_zeros_survive_the_grid_axes(self, zero, corner):
+        # At corner (0, 0), a*x + b*y is -0.0 only if b is: a*x is -0.0.
+        transform = AffineTransform(-0.25, zero, -0.0, zero, -0.25, -0.0)
+        grid, world = pipeline(["110", "011"], transform)
+        assert_byte_identical(world, assemble_polygons(grid))
+        assert write_geojson(world).count(corner) == 2
+
+    def test_overflow_names_the_ring_the_distinct_values_name(self):
+        grid, world = form_rings(
+            detect(bernoulli(40, 30, 0.5, 901)), AffineTransform(1e308, 0.0, 0.0, 0.0, -1e308, 0.0)
+        )
+        polygons = assemble_polygons(grid)
+        copy = RingSet(world.coords, world.offsets)
+        first = next(k for k, ring in enumerate(world) if not np.isfinite(ring).all())
+        message = f"^ring {first} has a non-finite position$"
+        for rings in (world, copy):
+            for text in (
+                lambda: write_geojson(rings, polygons),
+                lambda: write_geojson(rings),
+                lambda: write_wkt(rings, polygons),
+            ):
+                with pytest.raises(ValueError, match=message):
+                    text()
+
+    @pytest.mark.parametrize(
+        "case", ["negative-corners", "far-apart", "rotated", "copied", "float32"]
+    )
+    def test_other_ring_sets_sort_distinct_values(self, monkeypatch, case):
+        d = detect(bernoulli(12, 10, 0.5, 6))
+        # Moving corners keeps the rings and their order.
+        polygons = assemble_polygons(form_rings(d)[0])
+        if case == "negative-corners":
+            d = Delineation(d.xs - 5, d.ys - 3, d.next_ids, d.corners)
+        elif case == "far-apart":
+            # An axis longer than the column would be a table of 2**62 values.
+            d = Delineation(np.where(d.xs > 6, d.xs + 2**62, d.xs), d.ys, d.next_ids, d.corners)
+        _, world = form_rings(d, ROTATED if case == "rotated" else AXIS_ALIGNED["mirrored"])
+        if case == "copied":
+            world = RingSet(world.coords, world.offsets)
+        elif case == "float32":
+            world = RingSet(world.coords.astype(np.float32), world.offsets)
+        expected = reference_geojson(world, polygons), reference_wkt(world, polygons)
+        sorted_columns = []
+        unique = np.unique
+
+        def counting(column, **kwargs):
+            sorted_columns.append(len(column))
+            return unique(column, **kwargs)
+
+        monkeypatch.setattr(np, "unique", counting)
+        assert (write_geojson(world, polygons), write_wkt(world, polygons)) == expected
+        assert sorted_columns == [len(world.coords)] * 4
+
+    @pytest.mark.parametrize("name", AXIS_ALIGNED)
+    def test_north_up_rings_need_no_sort(self, monkeypatch, name):
+        grid, world = form_rings(detect(bernoulli(40, 30, 0.5, 902)), AXIS_ALIGNED[name])
+        polygons = assemble_polygons(grid)
+        expected = [
+            reference_geojson(world, polygons),
+            reference_geojson(world, crs="EPSG:4326"),
+            reference_wkt(world, polygons),
+        ]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.unique reached from north-up form_rings output")
+
+        monkeypatch.setattr(np, "unique", refuse)
+        assert [
+            write_geojson(world, polygons),
+            write_geojson(world, crs="EPSG:4326"),
+            write_wkt(world, polygons),
+        ] == expected
 
     @pytest.mark.parametrize("crs", ["EPSG:32633", "caf\u00e9 \"quoted\"\n"])
     def test_crs(self, crs):
