@@ -422,7 +422,9 @@ def assemble_polygons(grid_rings) -> PolygonSet:
     holes in ascending ring order. Raises TopologyError for zero-area
     rings (the lowest index is reported) and for holes that no exterior
     surrounds, and ValueError for float coordinates. Bool and integer
-    coordinates are read as int64.
+    coordinates are read as int64. Areas are summed exactly in int64, on
+    corners moved by the set's minimum, so a set far from the origin
+    assembles as it would near it.
     """
     rings = RingSet.of(grid_rings, np.int64)
     if rings.coords.dtype.kind == "f":
@@ -430,18 +432,26 @@ def assemble_polygons(grid_rings) -> PolygonSet:
     coords = rings.coords.astype(np.int64, copy=False)
     n = len(rings)
     point_ring = np.repeat(np.arange(n), np.diff(rings.offsets))
-    x, y = coords[:, 0], coords[:, 1]
+    # Shifted to start at 0: areas, keys and directions do not change, and
+    # corners far from the origin keep their products in range.
+    x, y = (c - c.min(initial=np.iinfo(np.int64).max) for c in coords.T)
+
+    # Each ring's cross products are summed exactly in int64: running[k]
+    # sums the steps before point k, and a ring's own steps run from its
+    # first point to its last.
+    running = np.zeros(len(coords) + 1, np.int64)
+    np.cumsum(x[:-1] * y[1:] - x[1:] * y[:-1], out=running[1:-1])
+    first = rings.offsets[:-1]
+    twice_area = running[np.maximum(rings.offsets[1:] - 1, first)] - running[first]
+    flat = np.flatnonzero(twice_area == 0)
+    if len(flat):
+        i = int(flat[0])
+        raise TopologyError(f"ring {i} has zero area", ring_index=i)
 
     # Steps between consecutive points, minus those that join one ring's
     # last point to the next ring's first.
     step_ring = point_ring[:-1]
     inside = step_ring == point_ring[1:]
-    cross = np.where(inside, x[:-1] * y[1:] - x[1:] * y[:-1], 0)
-    twice_area = np.bincount(step_ring, weights=cross, minlength=n)
-    flat = np.flatnonzero(twice_area == 0)
-    if len(flat):
-        i = int(flat[0])
-        raise TopologyError(f"ring {i} has zero area", ring_index=i)
 
     # Vertical segments cut into unit edges, each keyed by (row, column).
     seg = np.flatnonzero(inside & (x[:-1] == x[1:]) & (y[:-1] != y[1:]))

@@ -14,6 +14,12 @@ and produce nothing; codes 6 and 9 are diagonal touches and produce two
 coinciding vertices so touching regions stay separate, non-overlapping
 rings; every other code produces one vertex.
 
+`window_types` builds the whole code grid and is the reference; `detect`
+does not build it. A window holds a vertex exactly when its top or bottom
+pixel row changes, and so does its left or right pixel column. `detect`
+runs that test on pixel rows packed eight to a byte, then reads the four
+pixels of each window only at the corners it found.
+
 Vertices are wired into circular linked lists by two pairings. Along each
 corner row the vertices pair off left to right into horizontal edges, and
 down each corner column they pair off top to bottom into vertical edges.
@@ -37,10 +43,6 @@ import numpy as np
 from .raster import BitRaster
 
 __all__ = ["Delineation", "TraceError", "detect", "link_problem", "window_types"]
-
-# Window codes that yield a vertex; 6 and 9 yield two coinciding vertices.
-_ACTIONABLE = np.zeros(16, dtype=bool)
-_ACTIONABLE[[1, 2, 4, 6, 7, 8, 9, 11, 13, 14]] = True
 
 
 class TraceError(RuntimeError):
@@ -96,7 +98,10 @@ def link_problem(next_ids: np.ndarray, corners: np.ndarray) -> str | None:
 
 
 def window_types(raster: BitRaster) -> np.ndarray:
-    """Window codes for the whole (height+1) x (width+1) corner grid at once."""
+    """Window codes for the whole (height+1) x (width+1) corner grid at once.
+
+    The reference for the codes `detect` reads; `detect` does not call it.
+    """
     h, w = raster.height, raster.width
     padded = np.zeros((h + 2, w + 2), dtype=np.uint8)
     padded[1 : h + 1, 1 : w + 1] = raster._bits
@@ -108,6 +113,45 @@ def window_types(raster: BitRaster) -> np.ndarray:
     )
 
 
+def _vertices(raster: BitRaster) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The vertex arena in scan order: each vertex's x, y and window code,
+    and whether it is the second copy at a diagonal corner.
+
+    Corners are found by their index into the zero-padded (h+2) x (w+2)
+    pixel grid, where each indexes its window's top-left pixel. Working
+    memory is the padded grid and its unpacked vertex bits, one byte per
+    pixel each, plus O(1) per vertex.
+    """
+    h, w = raster.height, raster.width
+    padded = np.zeros((h + 2, w + 2), dtype=bool)
+    padded[1 : h + 1, 1 : w + 1] = raster._bits
+    packed = np.packbits(padded, axis=1)
+    # The rows moved one pixel left: each byte takes the top bit of the next.
+    left = packed << 1
+    left[:, :-1] |= packed[:, 1:] >> 7
+    # Bit x of a row of `across` is set where pixels x and x+1 differ, and
+    # of `down` where pixel x differs from the one below it; moving rows
+    # left commutes with the xor.
+    across = packed ^ left
+    down = packed[:-1] ^ packed[1:]
+    vertex = (across[:-1] | across[1:]) & (down | left[:-1] ^ left[1:])
+    # A bool view keeps flatnonzero on its fast path.
+    hits = np.flatnonzero(np.unpackbits(vertex, axis=1, count=w + 2).view(bool))
+    flat = padded.ravel().view(np.uint8)
+    code = flat[hits] | flat[1:][hits] << 1 | flat[w + 2 :][hits] << 2 | flat[w + 3 :][hits] << 3
+    # One repeat copies each diagonal corner and its code together: the
+    # code rides in the low four bits.
+    copies = 1 + ((code == 6) | (code == 9)).view(np.uint8)
+    at = hits << 4
+    at |= code
+    del padded, flat, hits, code
+    at = np.repeat(at, copies)
+    second = np.zeros(len(at), dtype=bool)
+    second[1:] = at[1:] == at[:-1]
+    ys, xs = np.divmod(at >> 4, w + 2)
+    return xs, ys, (at & 15).astype(np.uint8), second
+
+
 def detect(raster: BitRaster) -> Delineation:
     """Find all boundary vertices and wire them into circular linked lists.
 
@@ -116,18 +160,21 @@ def detect(raster: BitRaster) -> Delineation:
     TraceError rather than returning partial geometry.
     """
     if raster.width == 0 or raster.height == 0:
-        # No pixels, no vertices; the corner grid may still be huge.
+        # No pixels, no vertices; the padded grid may still be huge.
         return Delineation(*(np.zeros(0, dtype=np.intp) for _ in range(4)))
-    codes = window_types(raster).ravel()
-    hits = np.flatnonzero(_ACTIONABLE[codes])
-    diagonal = (codes[hits] == 6) | (codes[hits] == 9)
-    at = np.repeat(hits, 1 + diagonal)
-    code = codes[at]
-    del codes, hits, diagonal
-    second = np.zeros(len(at), dtype=bool)
-    second[1:] = at[1:] == at[:-1]
-    ys, xs = np.divmod(at, raster.width + 1)
-    del at
+    return _wire(*_vertices(raster), raster.width)
+
+
+def _wire(
+    xs: np.ndarray, ys: np.ndarray, code: np.ndarray, second: np.ndarray, width: int
+) -> Delineation:
+    """Wire a vertex arena into circular linked lists.
+
+    The arena gives each vertex's corner (0 <= x <= width), its window
+    code, which must be one that yields a vertex, and whether it is the
+    second copy at a diagonal corner, all in scan order. Inconsistent codes
+    raise TraceError.
+    """
     n = len(code)
     if n % 2:
         raise TraceError(f"{n} boundary vertices cannot pair off into edges")
@@ -138,7 +185,7 @@ def detect(raster: BitRaster) -> Delineation:
     six = np.flatnonzero(second & (code == 6))
     rows[six - 1], rows[six] = six, six - 1
     # Stable sorts of 8- and 16-bit keys are radix sorts.
-    cols = np.argsort(xs.astype(np.min_scalar_type(raster.width)), kind="stable")
+    cols = np.argsort(xs.astype(np.min_scalar_type(width)), kind="stable")
     ha, hb, va, vb = rows[0::2], rows[1::2], cols[0::2], cols[1::2]
     if (ys[ha] != ys[hb]).any() or (xs[va] != xs[vb]).any():
         raise TraceError("boundary vertices do not pair off along rows and columns")

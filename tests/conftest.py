@@ -2,8 +2,9 @@
 
 import numpy as np
 
-from gridtrace import BitRaster, MaskError, RingTraversalError, form_rings, signed_area
+from gridtrace import BitRaster, MaskError, RingTraversalError, detect, form_rings, signed_area
 from gridtrace.verify import (
+    classify_window,
     parse_ascii_grid_bruteforce,
     parse_pbm_ascii_bruteforce,
     unit_edges,
@@ -47,6 +48,30 @@ def raster_from_int(width: int, height: int, mask: int) -> BitRaster:
     """Raster whose row-major bits are the binary digits of `mask`."""
     bits = ((mask >> np.arange(width * height)) & 1).astype(bool).reshape(height, width)
     return BitRaster(width, height, bits)
+
+
+def traced_vertices(raster: BitRaster) -> tuple[list, list]:
+    """(x, y) of every vertex in `detect`'s arena, and of every entry corner."""
+    d = detect(raster)
+    xs, ys = d.xs.tolist(), d.ys.tolist()
+    return list(zip(xs, ys)), [(xs[i], ys[i]) for i in d.corners.tolist()]
+
+
+def vertices_one_at_a_time(raster: BitRaster) -> tuple[list, list]:
+    """(x, y) of every vertex in scan order, and of every ring entry corner,
+    with each window classified on its own: one vertex per single code, two
+    at a diagonal (6 or 9), and an entry at codes 7, 8 and 9."""
+    positions, entries = [], []
+    for y in range(raster.height + 1):
+        for x in range(raster.width + 1):
+            code = classify_window(raster, x, y)
+            if code in (6, 9):
+                positions += [(x, y)] * 2
+            elif code not in (0, 3, 5, 10, 12, 15):
+                positions.append((x, y))
+            if code in (7, 8, 9):
+                entries.append((x, y))
+    return positions, entries
 
 
 def ring_validity_errors(grid_rings, marked_count: int) -> list[str]:

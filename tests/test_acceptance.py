@@ -204,6 +204,34 @@ def test_ring_formation_is_output_sensitive():
     )
 
 
+def test_detect_is_output_sensitive():
+    # Same pixel count: one 600x400 block has 4 vertices, noise about 750 k.
+    block = np.zeros((1000, 1000), dtype=bool)
+    block[300:700, 200:800] = True
+    sparse = BitRaster(1000, 1000, block)
+    dense = bernoulli(1000, 1000, 0.5, 4243)
+
+    def best_detect_time(raster):
+        times = []
+        for _ in range(5):
+            gc.disable()
+            try:
+                t0 = time.perf_counter()
+                detect(raster)
+                times.append(time.perf_counter() - t0)
+            finally:
+                gc.enable()
+        return min(times)
+
+    t_sparse = best_detect_time(sparse)
+    t_dense = best_detect_time(dense)
+    report(
+        "detect output-sensitive at 1000^2 (one block at most 1/25 of p=0.5)",
+        t_sparse <= t_dense / 25,
+        f"{t_sparse * 1000:.2f}ms vs {t_dense * 1000:.1f}ms, ratio {t_sparse / t_dense:.3f}",
+    )
+
+
 def test_assembly_scales_near_linearly():
     def best_assembly_time(size):
         grid, _ = form_rings(detect(bernoulli(size, size, 0.5, 4242)))

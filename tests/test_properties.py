@@ -20,7 +20,13 @@ from hypothesis import HealthCheck, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
-from conftest import TEXT_ORACLES, parse_outcome, walk_outcomes  # noqa: E402
+from conftest import (  # noqa: E402
+    TEXT_ORACLES,
+    parse_outcome,
+    traced_vertices,
+    vertices_one_at_a_time,
+    walk_outcomes,
+)
 from gridtrace import (  # noqa: E402
     IDENTITY,
     AffineTransform,
@@ -193,6 +199,19 @@ def test_ring_walk_matches_the_per_vertex_oracle(arena):
     # The same rings in the same order, or the same unreachable-vertex message.
     fast, oracle = walk_outcomes(arena)
     assert fast == oracle
+
+
+# Rows up to 70 pixels wide end in every position within a byte, and may
+# span several bytes, so vertices depend on bits carried across bytes.
+@PROPERTY
+@given(
+    raster=st.builds(
+        lambda bits: BitRaster(bits.shape[1], bits.shape[0], bits),
+        st.tuples(st.integers(1, 4), st.integers(1, 70)).flatmap(lambda shape: arrays(bool, shape)),
+    )
+)
+def test_detect_finds_the_vertices_of_windows_classified_one_at_a_time(raster):
+    assert traced_vertices(raster) == vertices_one_at_a_time(raster)
 
 
 @PROPERTY

@@ -407,6 +407,34 @@ class TestAssemblePolygons:
             narrow = RingSet(grid.coords.astype(dtype), grid.offsets)
             assert list(assemble_polygons(narrow)) == list(assemble_polygons(grid)) == [Polygon(0, [1])]
 
+    @pytest.mark.parametrize("x0", [2**54, 2**62], ids=["2**54", "2**62"])
+    def test_unit_square_far_from_the_origin(self, x0):
+        square = RingSet.of([[(x0, 0), (x0, 1), (x0 + 1, 1), (x0 + 1, 0), (x0, 0)]], np.int64)
+        assert list(assemble_polygons(square)) == [Polygon(0, [])]
+
+    @pytest.mark.parametrize(
+        "shift", [(2**62, 0), (0, 2**62), (2**62, 2**62)], ids=["x", "y", "xy"]
+    )
+    def test_traced_mask_shifted_far_from_the_origin(self, shift):
+        # Three nested frames: two exteriors with a hole each, and an island.
+        grid, _ = rings_of(
+            [
+                "111111111111",
+                "100000000001",
+                "101111111101",
+                "101000000101",
+                "101011110101",
+                "101011110101",
+                "101000000101",
+                "101111111101",
+                "100000000001",
+                "111111111111",
+            ]
+        )
+        shifted = RingSet(grid.coords.astype(np.int64) + shift, grid.offsets)
+        expected = [Polygon(0, [1]), Polygon(2, [3]), Polygon(4, [])]
+        assert list(assemble_polygons(shifted)) == list(assemble_polygons(grid)) == expected
+
     def test_float_coordinates_are_refused(self):
         grid, _ = rings_of(["111", "101", "111"])
         with pytest.raises(ValueError, match="^grid rings hold float64 coordinates, not integers$"):

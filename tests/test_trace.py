@@ -3,14 +3,13 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import raster_from_int
+from conftest import raster_from_int, traced_vertices, vertices_one_at_a_time
 import gridtrace.trace as trace
 from gridtrace import BitRaster, TraceError, bernoulli, detect, window_types
 from gridtrace.verify import classify_window
 
-# Window codes producing one vertex, and the diagonal codes producing two.
+# Window codes producing one vertex; the diagonal codes 6 and 9 produce two.
 SINGLE_VERTEX_CODES = {1, 2, 4, 7, 8, 11, 13, 14}
-DOUBLE_VERTEX_CODES = {6, 9}
 
 
 class TestClassifyWindow:
@@ -121,25 +120,22 @@ class TestDetect:
         assert sorted(zip(d.xs, d.ys)) == [(0, 0), (0, h), (w, 0), (w, h)]
 
     def test_vertex_positions_match_window_codes_exhaustively(self):
-        # Every 3x3 mask: a corner holds one vertex per single code, two per
-        # diagonal code, and entry corners are exactly the 7/8/9 windows.
-        for mask in range(512):
-            r = raster_from_int(3, 3, mask)
-            expected = Counter()
-            expected_corners = 0
-            for y in range(4):
-                for x in range(4):
-                    code = classify_window(r, x, y)
-                    if code in SINGLE_VERTEX_CODES:
-                        expected[(x, y)] += 1
-                    elif code in DOUBLE_VERTEX_CODES:
-                        expected[(x, y)] += 2
-                    if code in (7, 8, 9):
-                        expected_corners += 1
-            d = detect(r)
-            assert Counter(zip(d.xs, d.ys)) == expected, mask
-            assert len(d.corners) == expected_corners, mask
-            assert d.vertex_count % 2 == 0, mask
+        # Every mask up to 4x4, against windows classified one at a time.
+        for w in range(1, 5):
+            for h in range(1, 5):
+                for mask in range(1 << (w * h)):
+                    r = raster_from_int(w, h, mask)
+                    assert traced_vertices(r) == vertices_one_at_a_time(r), (w, h, mask)
+
+    # Widths that end a packed row at, just before and just after a byte
+    # boundary, so vertices depend on bits carried across bytes.
+    @pytest.mark.parametrize("width", [*range(1, 18), 63, 64, 65])
+    def test_vertex_positions_across_byte_boundaries(self, width):
+        for height in (1, 2, 3):
+            for p in (0, 0.02, 0.5, 0.98, 1):
+                for seed in range(4):
+                    r = bernoulli(width, height, p, seed)
+                    assert traced_vertices(r) == vertices_one_at_a_time(r), (height, p, seed)
 
     def test_entry_corners_in_scan_order(self):
         d = detect(BitRaster.from_strings(["100", "000", "001"]))
@@ -156,8 +152,9 @@ class TestDetect:
 class TestWiringChecks:
     """Code grids no raster can produce must raise, not return bad links.
 
-    Each grid is at least 2x2: a raster with no pixels returns before its
-    codes are read.
+    The wiring step takes each grid's vertices in scan order, with their
+    codes, as `detect` hands them over from its vertex finder. No grid here
+    has a diagonal corner, so no vertex is a second copy.
     """
 
     @pytest.mark.parametrize(
@@ -169,9 +166,9 @@ class TestWiringChecks:
             pytest.param([[8, 4], [2, 2]], "unlinked", id="unlinked"),
         ],
     )
-    def test_inconsistent_codes_raise(self, monkeypatch, codes, message):
+    def test_inconsistent_codes_raise(self, codes, message):
         grid = np.array(codes, dtype=np.uint8)
-        monkeypatch.setattr(trace, "window_types", lambda raster: grid)
-        raster = BitRaster(grid.shape[1] - 1, grid.shape[0] - 1)
+        ys, xs = np.nonzero(np.isin(grid, list(SINGLE_VERTEX_CODES)))
+        second = np.zeros(len(xs), dtype=bool)
         with pytest.raises(TraceError, match=message):
-            detect(raster)
+            trace._wire(xs, ys, grid[ys, xs], second, grid.shape[1] - 1)
