@@ -161,6 +161,9 @@ def cmd_gen(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    if args.check_shape and args.p_steps < 5:
+        raise ValueError(f"--check-shape needs --p-steps >= 5, got {args.p_steps}")
+
     def report(record):
         print(
             f"size {record.size} p {record.p:.2f}: "

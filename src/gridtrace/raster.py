@@ -32,7 +32,6 @@ __all__ = [
     "write_mask",
 ]
 
-MASK_FORMATS = ("pbm-ascii", "pbm-binary", "ascii-grid")
 _MAX_DIMENSION = np.iinfo(np.intp).max
 
 # The class of every byte in a text payload: whitespace as bytes.isspace

@@ -1,9 +1,9 @@
 """Ring formation: walk circular vertex lists into closed coordinate rings.
 
 Every ring starts at its first-listed entry corner and follows next links
-back to it; it is emitted in grid coordinates and, through the
-grid-to-world transform, in (longitude, latitude). Rings that contain
-several entry corners are emitted once.
+back to it; it is emitted in grid coordinates and in (longitude,
+latitude), which `AffineTransform.apply` gives for all grid corners in one
+call. Rings that contain several entry corners are emitted once.
 
 The walk labels every vertex with its place instead of building the order
 step by step, by list contraction over a ruling set (Cole & Vishkin, 1986).
@@ -40,8 +40,9 @@ exterior's holes. Sorting the vertical unit edges once makes this
 O(P log P) in the vertical perimeter P. The polygons come out as a
 `PolygonSet` in GeoArrow's polygon layout: one array of ring indices, each
 polygon's outer ring first and its holes after it, cut into polygons by an
-offsets array and filled by scatters, with no object per polygon. A
-hand-built list of `Polygon`s is accepted wherever polygons are consumed.
+offsets array. One `np.lexsort` of the rings by owning exterior puts them
+in that order, with no object per polygon. A hand-built list of `Polygon`s
+is accepted wherever polygons are consumed.
 """
 
 from __future__ import annotations
@@ -107,10 +108,17 @@ class RingSet(Sequence):
 
     @classmethod
     def of(cls, rings, dtype) -> RingSet:
-        """Pack hand-built rings with `dtype` coordinates; a RingSet passes through."""
+        """Pack hand-built rings with `dtype` coordinates; a RingSet passes
+        through. Raises ValueError naming the first ring that is not (k, 2);
+        an empty ring, [], packs as (0, 2)."""
         if isinstance(rings, RingSet):
             return rings
-        arrays = [np.asarray(r, dtype=dtype).reshape(-1, 2) for r in rings]
+        arrays = [np.asarray(r, dtype=dtype) for r in rings]
+        for k, a in enumerate(arrays):
+            if a.shape == (0,):
+                arrays[k] = a.reshape(0, 2)
+            elif a.ndim != 2 or a.shape[1] != 2:
+                raise ValueError(f"ring {k} has shape {a.shape}, not (k, 2)")
         offsets = np.cumsum([0] + [len(a) for a in arrays], dtype=np.int64)
         return cls(np.concatenate([np.empty((0, 2), dtype), *arrays]), offsets)
 
@@ -214,13 +222,18 @@ def form_rings(
     have no straight runs. World positions that overflow come out as
     non-finite floats, without a warning; the writers refuse them.
 
-    Raises RingTraversalError if an arena field is not integer, the fields
-    differ in length, next_ids is not a permutation of the vertices, an
-    entry corner is not a vertex, or no entry corner reaches some vertex.
+    Raises RingTraversalError if an arena field is not 1-D or, unless
+    empty, not integer, the fields differ in length, next_ids is not a
+    permutation of the vertices, an entry corner is not a vertex, or no
+    entry corner reaches some vertex. Empty fields are read as int64.
     """
     fields = {f: np.asarray(getattr(delineation, f)) for f in ("xs", "ys", "next_ids", "corners")}
     for name, a in fields.items():
-        if a.size and a.dtype.kind not in "iu":
+        if a.ndim != 1:
+            raise RingTraversalError(f"arena field {name} has shape {a.shape}, not 1-D")
+        if not a.size:
+            fields[name] = a.astype(np.int64)
+        elif a.dtype.kind not in "iu":
             raise RingTraversalError(f"arena field {name} holds {a.dtype} values, not integers")
     xs, ys, nxt, corners = fields.values()
     n, m = len(nxt), len(corners)
@@ -258,24 +271,9 @@ def form_rings(
     grid[:, 0] = xs[closed]
     grid[:, 1] = ys[closed]
     del closed
-    world = RingSet(_world(grid, transform), offsets)
+    world = RingSet(np.column_stack(transform.apply(grid[:, 0], grid[:, 1])), offsets)
     world._source = (grid, transform)
     return RingSet(grid, offsets), world
-
-
-def _world(grid: np.ndarray, t: AffineTransform) -> np.ndarray:
-    """`t.apply` on every grid corner, in one (N, 2) buffer: the same
-    operations in the same order, so the same bits."""
-    world = np.empty(grid.shape)
-    x, y = grid[:, 0], grid[:, 1]
-    term = np.empty(len(grid))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for out, (p, q, r) in zip(world.T, ((t.a, t.b, t.c), (t.d, t.e, t.f))):
-            np.multiply(p, x, out=out)
-            np.multiply(q, y, out=term)
-            out += term
-            out += r
-    return world
 
 
 # Below this many walkers, or moving elements to rank, the rest is stepped
@@ -485,23 +483,15 @@ def assemble_polygons(grid_rings) -> PolygonSet:
             break
         owner = jumped
 
-    owner = owner[holes]
-    orphans = holes[owner == n]
+    orphans = holes[owner[holes] == n]
     if len(orphans):
         hid = int(orphans[0])
         start = tuple(coords[rings.offsets[hid]].tolist())
         raise TopologyError(
             f"hole ring {hid} at {start} is inside no exterior ring", ring_index=hid
         )
-    # Polygon k is exterior k, then the holes it owns. Exteriors and owners
-    # both rise with k, so the holes, stable-sorted by owner, fill the slots
-    # after the exteriors in order.
-    exteriors = np.flatnonzero(twice_area < 0)
-    offsets = np.zeros(len(exteriors) + 1, np.int64)
-    np.add.accumulate(np.bincount(owner, minlength=n)[exteriors] + 1, out=offsets[1:])
-    members = np.empty(offsets[-1], np.int64)
-    members[offsets[:-1]] = exteriors
-    in_hole_slot = np.ones(len(members), bool)
-    in_hole_slot[offsets[:-1]] = False
-    members[in_hole_slot] = holes[np.argsort(owner, kind="stable")]
+    # Every exterior owns itself. Sorted by owner, exterior first, and then
+    # stably by ring index, polygon k is exterior k and then its holes.
+    members = np.lexsort((twice_area > 0, owner[:n]))
+    offsets = np.append(np.flatnonzero(twice_area[members] < 0), n)
     return PolygonSet(members, offsets)

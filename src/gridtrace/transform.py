@@ -16,6 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 __all__ = [
     "AffineTransform",
     "DegenerateTransformError",
@@ -42,9 +44,18 @@ class AffineTransform:
     e: float
     f: float
 
+    def __post_init__(self):
+        # Plain floats, so that every map gives float64 positions.
+        for name in "abcdef":
+            object.__setattr__(self, name, float(getattr(self, name)))
+
     def apply(self, x: float, y: float) -> tuple[float, float]:
-        """Map grid-corner coordinates, scalars or arrays, to (longitude, latitude)."""
-        return (self.a * x + self.b * y + self.c, self.d * x + self.e * y + self.f)
+        """Map grid-corner coordinates, scalars or arrays, to (longitude, latitude).
+
+        Positions that overflow come out as non-finite floats, with no warning.
+        """
+        with np.errstate(over="ignore", invalid="ignore"):
+            return (self.a * x + self.b * y + self.c, self.d * x + self.e * y + self.f)
 
     @property
     def determinant(self) -> float:

@@ -6,12 +6,12 @@ y token per position, and the ring's tail. Each column's token values are
 formatted once, and numpy indexing picks every position's tokens; a ring's
 first position takes its x token from a table without the leading ", ".
 World rings from `form_rings` through a north-up transform take their
-token values from the grid axes, the transform of every integer between a
-grid column's min and max, with no sort; other ring sets take them from
-each column's distinct values, found by `np.unique`. The heads and tails
-of polygons and of the whole collection are written into the head and tail
-slots of their first and last rings, which the polygon offsets give.
-GeoJSON has the same bytes as json.dumps gives.
+token values from the grid axes, `AffineTransform.apply` on every integer
+between a grid column's min and max, with no sort; other ring sets take
+them from each column's distinct values, found by `np.unique`. The heads
+and tails of polygons and of the whole collection are written into the
+head and tail slots of their first and last rings, which the polygon
+offsets give. GeoJSON has the same bytes as json.dumps gives.
 
 Ring winding is passed through untouched: with a north-up transform the
 traced orientation already gives counterclockwise exteriors and clockwise
@@ -24,7 +24,7 @@ import json
 
 import numpy as np
 
-from .rings import Polygon, PolygonSet, RingSet, _world
+from .rings import Polygon, PolygonSet, RingSet
 
 __all__ = ["write_geojson", "write_timing_csv", "write_wkt"]
 
@@ -142,7 +142,9 @@ def _text(world_rings, polygons, numbers, position, collection, polygon, ring) -
     pieces[tail_at] = head_code + 3
     pieces[tail_at[groups[1:] - 1]] += 1
     pieces[-1] += 1
-    src = _positions(offsets, members, first, lengths, index)
+    # The index in the coordinates of every position, ring by ring.
+    src = np.repeat((offsets[members] - first).astype(index), lengths)
+    src += np.arange(len(src), dtype=index)
     x_of, y_of = codes
     xy = np.empty((len(pieces) // 2 - len(members), 2), index)
     xy[:, 0] = x_of[src]
@@ -170,24 +172,20 @@ def _columns(rings: RingSet, index) -> list[tuple[np.ndarray, np.ndarray]]:
     d zero, of either sign) from grid corners >= 0 read their values off
     the grid axes: lon depends on grid x alone and lat on y alone, so a
     column's values are the transform of every integer from its grid min
-    to its max, and a code is the grid value minus the min. `_world` on
-    (x, 0) and (0, y) gives the bits it gives every corner, since b*y and
-    d*x are one signed zero for all x, y >= 0. Every other ring set, and
-    an axis longer than its column or with a non-finite value, takes the
-    column's distinct values, told apart by their bits in its own dtype so
-    that -0.0 keeps its sign."""
+    to its max, and a code is the grid value minus the min.
+    `AffineTransform.apply` on (x, 0) and (0, y) gives the bits that
+    `form_rings` gets from it on every corner: the same expressions in the
+    same order, and b*y and d*x are one signed zero for all x, y >= 0.
+    Every other ring set, and an axis longer than its column or with a
+    non-finite value, takes the column's distinct values, told apart by
+    their bits in its own dtype so that -0.0 keeps its sign."""
     source = rings._source
     if source is not None and source[1].b == 0 and source[1].d == 0 and len(source[0]):
         grid, t = source
         axes = [(col.min(), col.max()) for col in grid.T]
         if all(0 <= lo and hi - lo < len(grid) for lo, hi in axes):
             (x0, x1), (y0, y1) = axes
-            nx = x1 - x0 + 1
-            corners = np.zeros((nx + y1 - y0 + 1, 2), np.int64)
-            corners[:nx, 0] = np.arange(x0, x1 + 1)
-            corners[nx:, 1] = np.arange(y0, y1 + 1)
-            world = _world(corners, t)
-            tables = world[:nx, 0], world[nx:, 1]
+            tables = t.apply(np.arange(x0, x1 + 1), 0)[0], t.apply(0, np.arange(y0, y1 + 1))[1]
             if all(np.isfinite(v).all() for v in tables):
                 return [
                     (v, np.subtract(col, lo, out=np.empty(len(col), index), casting="unsafe"))
@@ -199,17 +197,6 @@ def _columns(rings: RingSet, index) -> list[tuple[np.ndarray, np.ndarray]]:
 def _distinct(col: np.ndarray, index) -> tuple[np.ndarray, np.ndarray]:
     keys, inverse = np.unique(col.view(f"i{col.itemsize}"), return_inverse=True)
     return keys.view(col.dtype), inverse.astype(index)
-
-
-def _positions(offsets, members, first, lengths, index) -> np.ndarray:
-    """The index in the coordinates of every position of the rings
-    `members`, in that order; ring j's positions start at first[j]."""
-    starts = offsets[members]
-    step = np.ones(first[-1] + lengths[-1], index)
-    # A ring's first step jumps from the last position of the ring before.
-    step[first[1:]] = starts[1:] - (starts[:-1] + lengths[:-1] - 1)
-    step[0] = starts[0]
-    return np.add.accumulate(step, out=step)
 
 
 def _json_numbers(values: list) -> list[str]:

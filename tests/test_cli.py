@@ -290,6 +290,20 @@ class TestBench:
         assert rc == 1
         assert "shape violation" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("steps", ["2", "4"])
+    def test_check_shape_refuses_fewer_than_five_p_steps_before_timing(
+        self, capsys, monkeypatch, steps
+    ):
+        def timed(*args, **kwargs):
+            raise AssertionError("the grid was timed before the arguments were checked")
+
+        monkeypatch.setattr(cli, "run_experiment", timed)
+        rc = cli.main(["bench", "--sizes", "8", "--p-steps", steps, "--check-shape"])
+        assert rc == 1
+        assert capsys.readouterr() == (
+            "", f"gridtrace: error: --check-shape needs --p-steps >= 5, got {steps}\n"
+        )
+
     def test_output_file(self, tmp_path):
         out = tmp_path / "t.csv"
         assert cli.main(["bench", "--sizes", "4", "--p-steps", "2", "--trials", "1",

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -112,19 +114,26 @@ class TestFormRings:
             form_rings(bad)
 
     @pytest.mark.parametrize(
-        "next_ids,corners,message",
+        "xs,next_ids,corners,message",
         [
-            ([1, 5], [0], "^vertex 1 is unlinked: its successor 5 is not in 0..1$"),
-            ([1, 5], [3], "^vertex 1 is unlinked: its successor 5 is not in 0..1$"),
-            ([1, 0], [0, 2], "^entry corner 2 is not a vertex in 0..1$"),
-            ([1, 2, 0], [0], "^arena has 2 xs, 2 ys and 3 next_ids$"),
-            ([1, 10**30], [0], "^arena field next_ids holds object values, not integers$"),
-            ([1, 0.5], [0], "^arena field next_ids holds float64 values, not integers$"),
+            ([0, 1], [1, 5], [0], "^vertex 1 is unlinked: its successor 5 is not in 0..1$"),
+            ([0, 1], [1, 5], [3], "^vertex 1 is unlinked: its successor 5 is not in 0..1$"),
+            ([0, 1], [1, 0], [0, 2], "^entry corner 2 is not a vertex in 0..1$"),
+            ([0, 1], [1, 2, 0], [0], "^arena has 2 xs, 2 ys and 3 next_ids$"),
+            ([0, 1], [1, 10**30], [0], "^arena field next_ids holds object values, not integers$"),
+            ([0, 1], [1, 0.5], [0], "^arena field next_ids holds float64 values, not integers$"),
+            ([0, 1], [1, 0], [[0]], r"^arena field corners has shape \(1, 1\), not 1-D$"),
+            ([0, 1], [1, 0], np.int64(0), r"^arena field corners has shape \(\), not 1-D$"),
+            ([[0, 1]], [1, 0], [0], r"^arena field xs has shape \(1, 2\), not 1-D$"),
+            ([0, 1], [[]], [0], r"^arena field next_ids has shape \(1, 0\), not 1-D$"),
         ],
-        ids=["link", "link-and-corner", "corner", "lengths", "beyond-int64", "float"],
+        ids=[
+            "link", "link-and-corner", "corner", "lengths", "beyond-int64", "float",
+            "nested-corners", "scalar-corners", "two-dimensional-xs", "empty-nested-links",
+        ],
     )
-    def test_out_of_range_index_aborts(self, next_ids, corners, message):
-        bad = Delineation(xs=[0, 1], ys=[0, 0], next_ids=next_ids, corners=corners)
+    def test_out_of_range_index_aborts(self, xs, next_ids, corners, message):
+        bad = Delineation(xs=xs, ys=[0, 0], next_ids=next_ids, corners=corners)
         with pytest.raises(RingTraversalError, match=message):
             form_rings(bad)
 
@@ -142,10 +151,14 @@ class TestFormRings:
             form_rings(bad)
 
     def test_arrays_and_lists_give_the_same_rings(self):
-        d = detect(bernoulli(9, 7, 0.5, 11))
-        as_lists = Delineation(*(a.tolist() for a in (d.xs, d.ys, d.next_ids, d.corners)))
-        for got, want in zip(form_rings(as_lists), form_rings(d)):
-            assert [r.tolist() for r in got] == [r.tolist() for r in want]
+        # The empty arena's lists are Delineation([], [], [], []).
+        for raster in (bernoulli(9, 7, 0.5, 11), BitRaster(0, 0)):
+            d = detect(raster)
+            as_lists = Delineation(*(a.tolist() for a in (d.xs, d.ys, d.next_ids, d.corners)))
+            for got, want in zip(form_rings(as_lists), form_rings(d)):
+                assert [r.tolist() for r in got] == [r.tolist() for r in want]
+                assert got.offsets.tolist() == want.offsets.tolist()
+                assert got.coords.dtype == want.coords.dtype
 
 
 def spiral(size):
@@ -215,6 +228,25 @@ class TestRingSet:
         assert RingSet.of(rings, np.int64) is rings
         empty = RingSet.of([], float)
         assert len(empty) == 0 and empty.coords.shape == (0, 2)
+
+    @pytest.mark.parametrize(
+        "ring,shape",
+        [
+            ([(0, 0, 0), (0, 2, 0), (2, 2, 0), (2, 0, 0)], "(4, 3)"),
+            (np.zeros((5, 3)), "(5, 3)"),
+            ([0, 0, 0, 1, 1, 1, 1, 0, 0, 0], "(10,)"),
+            ([[(0, 0), (0, 1)]], "(1, 2, 2)"),
+            (7, "()"),
+        ],
+        ids=["triples", "array-of-triples", "flat", "nested", "scalar"],
+    )
+    def test_of_refuses_rings_that_are_not_k_by_2(self, ring, shape):
+        square = [(0, 0), (0, 1), (1, 1), (1, 0), (0, 0)]
+        message = f"^ring 1 has shape {re.escape(shape)}, not \\(k, 2\\)$"
+        with pytest.raises(ValueError, match=message):
+            RingSet.of([square, ring], np.int64)
+        with pytest.raises(ValueError, match=message.replace("ring 1", "ring 0")):
+            assemble_polygons([ring])
 
     def test_coordinates_and_rings_are_read_only(self):
         grid, world = rings_of(["1"])

@@ -1,10 +1,16 @@
+import warnings
+
+import numpy as np
 import pytest
 
 from gridtrace import (
     IDENTITY,
     AffineTransform,
+    BitRaster,
     DegenerateTransformError,
     WorldFileError,
+    detect,
+    form_rings,
     parse_world_file,
 )
 
@@ -19,6 +25,24 @@ def test_apply_general():
     tr = AffineTransform(a=2, b=0, c=1, d=0, e=-2, f=5)
     assert tr.apply(2, 3) == (5.0, -1.0)
     assert tr.apply(0, 0) == (1.0, 5.0)
+
+
+def test_fields_are_read_as_floats():
+    tr = AffineTransform(a=2, b=0, c=1, d=0, e=-2, f=5)
+    assert all(type(getattr(tr, name)) is float for name in "abcdef")
+    assert tr == AffineTransform(2.0, 0.0, 1.0, 0.0, -2.0, 5.0)
+    grid, world = form_rings(detect(BitRaster.from_strings(["1"])), tr)
+    assert world.coords.dtype == np.float64
+    assert world[0].tolist() == [[1.0, 5.0], [1.0, 3.0], [3.0, 3.0], [3.0, 5.0], [1.0, 5.0]]
+
+
+def test_overflow_gives_non_finite_positions_with_no_warning():
+    tr = AffineTransform(1e308, 0.0, 0.0, 0.0, -1e308, 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lon, lat = tr.apply(np.array([0, 2]), np.array([0, 2]))
+        assert tr.apply(np.int64(2), np.int64(2)) == (np.inf, -np.inf)
+    assert lon.tolist() == [0.0, np.inf] and lat.tolist() == [0.0, -np.inf]
 
 
 def test_determinant_and_degeneracy():
