@@ -387,15 +387,50 @@ def _rank(succ: np.ndarray, weight: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return leader, offset
 
 
+def _twice_areas(coords: np.ndarray, offsets: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Twice the signed area of every ring coords[offsets[k]:offsets[k + 1]]
+    of integer corners, exact in int64, and the x and y columns moved to
+    start at 0, which changes no area.
+
+    Once moved, a set of extent X x Y keeps every cross product below X*Y
+    and every doubled area below 2*X*Y, so below 2**63 while X*Y < 2**62;
+    a wider set raises ValueError naming its extent. A ring's doubled area
+    is the difference of a running sum of cross products at its first and
+    last point, exact even where the running sum wraps.
+    """
+    if not len(coords):
+        return np.zeros(len(offsets) - 1, np.int64), *np.zeros((2, 0), np.int64)
+    # Per column: a reduction over axis 0 of an (N, 2) buffer is many
+    # times slower.
+    lo, hi = [c.min() for c in coords.T], [c.max() for c in coords.T]
+    width, height = (int(b) - int(a) for a, b in zip(lo, hi))
+    if width * height >= 2**62:
+        raise ValueError(
+            f"grid rings span {width} x {height} corners; exact int64 areas"
+            " need width x height below 2**62"
+        )
+    # Read as int64, a uint64 corner at or above 2**63 wraps, and so does
+    # the minimum, so their difference is right.
+    x, y = (c.astype(np.int64, copy=False) - a.astype(np.int64) for c, a in zip(coords.T, lo))
+    running = np.zeros(len(coords) + 1, np.int64)
+    np.cumsum(x[:-1] * y[1:] - x[1:] * y[:-1], out=running[1:-1])
+    first = offsets[:-1]
+    return running[np.maximum(offsets[1:] - 1, first)] - running[first], x, y
+
+
 def signed_area(ring) -> float:
     """Shoelace signed area of a closed ring (y-down grid axes).
 
-    Negative for outer rings, positive for holes; exact on integer grid
-    coordinates.
+    Negative for outer rings, positive for holes. On bool or integer
+    corners the doubled area is summed exactly, as in `assemble_polygons`,
+    and halved into the nearest float; a ring of extent X by Y with
+    X*Y >= 2**62 raises ValueError. Float rings are summed in float64.
     """
     r = np.asarray(ring)
     if len(r) < 2:
         return 0.0
+    if r.dtype.kind in "biu":
+        return int(_twice_areas(r, np.array([0, len(r)]))[0][0]) / 2
     x, y = r[:, 0], r[:, 1]
     cross = x[:-1] * y[1:] - x[1:] * y[:-1]
     return float(cross.sum()) / 2
@@ -419,28 +454,20 @@ def assemble_polygons(grid_rings) -> PolygonSet:
     Returns a PolygonSet: exteriors in ring order, each followed by its
     holes in ascending ring order. Raises TopologyError for zero-area
     rings (the lowest index is reported) and for holes that no exterior
-    surrounds, and ValueError for float coordinates. Bool and integer
-    coordinates are read as int64. Areas are summed exactly in int64, on
-    corners moved by the set's minimum, so a set far from the origin
-    assembles as it would near it.
+    surrounds. Bool and integer coordinates are read as int64, and areas
+    are summed exactly in int64 on corners moved by the set's minimum, so
+    a set far from the origin assembles as it would near it. Raises
+    ValueError for float coordinates, and for a set of extent X by Y
+    (maximum less minimum on each axis) with X*Y >= 2**62: below that,
+    every doubled area and every unit-edge key fits in int64.
     """
     rings = RingSet.of(grid_rings, np.int64)
     if rings.coords.dtype.kind == "f":
         raise ValueError(f"grid rings hold {rings.coords.dtype} coordinates, not integers")
-    coords = rings.coords.astype(np.int64, copy=False)
     n = len(rings)
     point_ring = np.repeat(np.arange(n), np.diff(rings.offsets))
-    # Shifted to start at 0: areas, keys and directions do not change, and
-    # corners far from the origin keep their products in range.
-    x, y = (c - c.min(initial=np.iinfo(np.int64).max) for c in coords.T)
-
-    # Each ring's cross products are summed exactly in int64: running[k]
-    # sums the steps before point k, and a ring's own steps run from its
-    # first point to its last.
-    running = np.zeros(len(coords) + 1, np.int64)
-    np.cumsum(x[:-1] * y[1:] - x[1:] * y[:-1], out=running[1:-1])
-    first = rings.offsets[:-1]
-    twice_area = running[np.maximum(rings.offsets[1:] - 1, first)] - running[first]
+    # Shifted to start at 0: areas, keys and directions do not change.
+    twice_area, x, y = _twice_areas(rings.coords, rings.offsets)
     flat = np.flatnonzero(twice_area == 0)
     if len(flat):
         i = int(flat[0])
@@ -486,7 +513,7 @@ def assemble_polygons(grid_rings) -> PolygonSet:
     orphans = holes[owner[holes] == n]
     if len(orphans):
         hid = int(orphans[0])
-        start = tuple(coords[rings.offsets[hid]].tolist())
+        start = tuple(rings[hid][0].tolist())
         raise TopologyError(
             f"hole ring {hid} at {start} is inside no exterior ring", ring_index=hid
         )

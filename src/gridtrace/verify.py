@@ -169,13 +169,15 @@ def assemble_polygons_bruteforce(grid_rings) -> list[Polygon]:
 
     Negative-area rings are exteriors; each positive-area ring attaches as
     a hole of the smallest exterior that strictly contains it. Containment
-    is tested at a point nudged a quarter pixel inside the hole off the
-    midpoint of its first edge, which keeps the test point clear of every
-    boundary. O(holes x exteriors). Raises TopologyError like the fast
-    path: for the lowest-index zero-area ring, then for the lowest-index
-    hole no exterior contains.
+    is tested at a point a quarter pixel inside the hole off the midpoint
+    of its first unit step, which keeps the test point inside one pixel
+    and clear of every boundary. All arithmetic is on Python ints, with
+    corners scaled by 4 so that the test point is a lattice point, so
+    rings assemble exactly at any magnitude. O(holes x exteriors). Raises
+    TopologyError like the fast path: for the lowest-index zero-area ring,
+    then for the lowest-index hole no exterior contains.
     """
-    rings = [np.asarray(r) for r in grid_rings]
+    rings = [np.asarray(r).tolist() for r in grid_rings]
     areas = [_shoelace(r) for r in rings]
     outer_ids = []
     hole_ids = []
@@ -187,22 +189,22 @@ def assemble_polygons_bruteforce(grid_rings) -> list[Polygon]:
         else:
             raise TopologyError(f"ring {i} has zero area", ring_index=i)
 
-    bboxes = {o: (rings[o].min(axis=0), rings[o].max(axis=0)) for o in outer_ids}
+    bboxes = {}
+    for o in outer_ids:
+        xs, ys = zip(*rings[o])
+        bboxes[o] = 4 * min(xs), 4 * min(ys), 4 * max(xs), 4 * max(ys)
     holes_of: dict[int, list[int]] = {o: [] for o in outer_ids}
     for hid in hole_ids:
         px, py = _hole_interior_point(rings[hid])
         best = -1
-        best_area = None
         for o in outer_ids:
-            (x0, y0), (x1, y1) = bboxes[o]
+            x0, y0, x1, y1 = bboxes[o]
             if not (x0 < px < x1 and y0 < py < y1):
                 continue
-            if _point_in_ring(px, py, rings[o]):
-                size = -areas[o]
-                if best_area is None or size < best_area:
-                    best, best_area = o, size
+            if _point_in_ring(px, py, rings[o]) and (best < 0 or areas[o] > areas[best]):
+                best = o
         if best < 0:
-            start = tuple(rings[hid][0].tolist())
+            start = tuple(rings[hid][0])
             raise TopologyError(
                 f"hole ring {hid} at {start} is inside no exterior ring", ring_index=hid
             )
@@ -210,32 +212,28 @@ def assemble_polygons_bruteforce(grid_rings) -> list[Polygon]:
     return [Polygon(o, holes_of[o]) for o in outer_ids]
 
 
-def _shoelace(ring: np.ndarray) -> float:
-    if len(ring) < 2:
-        return 0.0
-    x, y = ring[:, 0], ring[:, 1]
-    return float((x[:-1] * y[1:] - x[1:] * y[:-1]).sum()) / 2
+def _shoelace(ring: list) -> int:
+    # Twice the signed area.
+    return sum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in zip(ring, ring[1:]))
 
 
-def _hole_interior_point(ring: np.ndarray) -> tuple[float, float]:
-    # Quarter-pixel inward normal off the first edge midpoint. For a
-    # positive-area ring (y-down) the interior lies to the right of travel.
-    x0, y0 = ring[0]
-    x1, y1 = ring[1]
-    dx, dy = x1 - x0, y1 - y0
-    length = abs(dx) + abs(dy)
-    mx, my = (x0 + x1) / 2, (y0 + y1) / 2
-    return float(mx - 0.25 * dy / length), float(my + 0.25 * dx / length)
+def _hole_interior_point(ring: list) -> tuple[int, int]:
+    # Four times the point a quarter pixel along the inward normal off the
+    # midpoint of the first unit step. For a positive-area ring (y-down)
+    # the interior lies to the right of travel.
+    (x0, y0), (x1, y1) = ring[0], ring[1]
+    dx, dy = (x1 > x0) - (x1 < x0), (y1 > y0) - (y1 < y0)
+    return 4 * x0 + 2 * dx - dy, 4 * y0 + 2 * dy + dx
 
 
-def _point_in_ring(px: float, py: float, ring: np.ndarray) -> bool:
-    # Even-odd ray cast along +x; py off the integer lattice avoids vertex grazing.
-    x0, y0 = ring[:-1, 0], ring[:-1, 1]
-    x1, y1 = ring[1:, 0], ring[1:, 1]
-    vertical = (x0 == x1) & (x0 > px)
-    lo = np.minimum(y0, y1)
-    hi = np.maximum(y0, y1)
-    crossings = int((vertical & (lo < py) & (py < hi)).sum())
+def _point_in_ring(px: int, py: int, ring: list) -> bool:
+    # Even-odd ray cast along +x, on corners scaled by 4. Unless the hole's
+    # first step has zero length, py is off every scaled grid line, so the
+    # ray grazes no vertex.
+    crossings = 0
+    for (x0, y0), (x1, y1) in zip(ring, ring[1:]):
+        if x0 == x1 and 4 * x0 > px and 4 * min(y0, y1) < py < 4 * max(y0, y1):
+            crossings += 1
     return crossings % 2 == 1
 
 

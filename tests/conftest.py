@@ -1,9 +1,24 @@
-"""Shared helpers for the test suite."""
+"""Shared helpers and fixtures for the test suite."""
+
+import gc
+import time
+from dataclasses import dataclass
 
 import numpy as np
+import pytest
 
-from gridtrace import BitRaster, MaskError, RingTraversalError, detect, form_rings, signed_area
+from gridtrace import (
+    BitRaster,
+    MaskError,
+    RingTraversalError,
+    assemble_polygons,
+    boundary_edges,
+    detect,
+    form_rings,
+    rasterize_even_odd,
+)
 from gridtrace.verify import (
+    assemble_polygons_bruteforce,
     classify_window,
     parse_ascii_grid_bruteforce,
     parse_pbm_ascii_bruteforce,
@@ -50,9 +65,8 @@ def raster_from_int(width: int, height: int, mask: int) -> BitRaster:
     return BitRaster(width, height, bits)
 
 
-def traced_vertices(raster: BitRaster) -> tuple[list, list]:
-    """(x, y) of every vertex in `detect`'s arena, and of every entry corner."""
-    d = detect(raster)
+def traced_vertices(d) -> tuple[list, list]:
+    """(x, y) of every vertex in a `detect` arena, and of every entry corner."""
     xs, ys = d.xs.tolist(), d.ys.tolist()
     return list(zip(xs, ys)), [(xs[i], ys[i]) for i in d.corners.tolist()]
 
@@ -84,8 +98,10 @@ def ring_validity_errors(grid_rings, marked_count: int) -> list[str]:
     areas must sum to exactly minus the marked pixel count.
     """
     errors = []
+    twice_area = 0
     for k, ring in enumerate(grid_rings):
         pts = np.asarray(ring).tolist()
+        twice_area += sum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in zip(pts, pts[1:]))
         if len(pts) < 2 or pts[0] != pts[-1]:
             errors.append(f"ring {k} not closed")
         for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
@@ -101,7 +117,119 @@ def ring_validity_errors(grid_rings, marked_count: int) -> list[str]:
     edges = unit_edges(grid_rings)
     if len(edges) != len(set(edges)):
         errors.append("a unit edge appears more than once")
-    total = sum(signed_area(r) for r in grid_rings)
-    if total != -marked_count:
-        errors.append(f"area sum {total} != -{marked_count}")
+    if twice_area != -2 * marked_count:
+        errors.append(f"area sum {twice_area / 2} != -{marked_count}")
     return errors
+
+
+def even_odd_problems(raster: BitRaster, d, grid) -> list[str]:
+    """The rings must fill back to the mask by the even-odd rule."""
+    if rasterize_even_odd(grid, raster.width, raster.height) != raster:
+        return ["even-odd refill differs from the mask"]
+    return []
+
+
+def edge_problems(raster: BitRaster, d, grid) -> list[str]:
+    """The rings' unit edges must be the mask's boundary edges, each once."""
+    edges = unit_edges(grid)
+    if len(edges) != len(set(edges)) or set(edges) != boundary_edges(raster):
+        return ["unit edges differ from the boundary edges"]
+    return []
+
+
+def validity_problems(raster: BitRaster, d, grid) -> list[str]:
+    """The rings must meet the validity contract of `ring_validity_errors`."""
+    return ring_validity_errors(grid, raster.marked_count())
+
+
+def assembly_problems(raster: BitRaster, d, grid) -> list[str]:
+    """`assemble_polygons` must match its containment-search oracle."""
+    if list(assemble_polygons(grid)) != assemble_polygons_bruteforce(grid):
+        return ["assemble_polygons differs from the oracle"]
+    return []
+
+
+def vertex_problems(raster: BitRaster, d, grid) -> list[str]:
+    """`detect` must find the vertices of windows classified one at a time."""
+    if traced_vertices(d) != vertices_one_at_a_time(raster):
+        return ["vertices differ from windows classified one at a time"]
+    return []
+
+
+# Checks of one traced mask, by name: each takes the raster, its `detect`
+# arena and its grid rings, and returns what it finds wrong. The first
+# three are the acceptance suite's exactness criteria.
+ACCEPTANCE_CHECKS = {
+    "even_odd": even_odd_problems,
+    "edges": edge_problems,
+    "validity": validity_problems,
+}
+MASK_CHECKS = {**ACCEPTANCE_CHECKS, "assembly": assembly_problems, "vertices": vertex_problems}
+
+
+@dataclass
+class Sweep:
+    """What the exhaustive sweep found: one failure list per check in
+    MASK_CHECKS, and the seconds spent in each part of the work."""
+
+    count: int
+    failures: dict[str, list[str]]
+    seconds: dict[str, float]
+
+
+@pytest.fixture(scope="session")
+def sweep_up_to_4x4() -> Sweep:
+    """Every mask of 1x1 up to 4x4 (74 954 of them), traced once, through
+    every check in MASK_CHECKS.
+
+    The parts timed are building the raster, `detect`, `form_rings` and
+    each check. A check that raises is a failure of that check alone. Only
+    failures are kept, not the traced masks.
+    """
+    failures = {name: [] for name in MASK_CHECKS}
+    seconds = dict.fromkeys(["raster", "detect", "form_rings", *MASK_CHECKS], 0.0)
+
+    def timed(part, run, *args):
+        start = time.perf_counter()
+        try:
+            return run(*args)
+        finally:
+            seconds[part] += time.perf_counter() - start
+
+    count = 0
+    for w in range(1, 5):
+        for h in range(1, 5):
+            for mask in range(1 << (w * h)):
+                raster = timed("raster", raster_from_int, w, h, mask)
+                d = timed("detect", detect, raster)
+                grid, _ = timed("form_rings", form_rings, d)
+                for name, check in MASK_CHECKS.items():
+                    try:
+                        problems = timed(name, check, raster, d, grid)
+                    except Exception as e:
+                        problems = [f"{type(e).__name__}: {e}"]
+                    failures[name] += [f"{w}x{h} mask {mask}: {p}" for p in problems]
+                count += 1
+    return Sweep(count, failures, seconds)
+
+
+def seconds_per_call(run, *args, repeat: int, gc_off: bool = False) -> list[float]:
+    """The perf_counter seconds of each of `repeat` calls of run(*args).
+
+    With gc_off, the cyclic collector is off during each call, so a
+    collection that earlier allocations set off cannot land in one. Each
+    result is freed after its call is timed.
+    """
+    seconds = []
+    for _ in range(repeat):
+        if gc_off:
+            gc.disable()
+        try:
+            start = time.perf_counter()
+            result = run(*args)
+            seconds.append(time.perf_counter() - start)
+        finally:
+            if gc_off:
+                gc.enable()
+        del result
+    return seconds

@@ -6,28 +6,25 @@ performance criteria are ratio- and shape-based only, since absolute
 timings depend on the host.
 """
 
-import gc
 import time
 from statistics import fmean
 
 import numpy as np
 import pytest
 
-from conftest import raster_from_int, ring_validity_errors
+from conftest import ACCEPTANCE_CHECKS, seconds_per_call
 from gridtrace import (
     BitRaster,
     assemble_polygons,
     bernoulli,
-    boundary_edges,
+    check_shape,
     detect,
     form_rings,
     parse_mask,
-    rasterize_even_odd,
     run_experiment,
     signed_area,
     write_mask,
 )
-from gridtrace.verify import unit_edges
 
 BENCH_SIZES = [250, 500, 1000]
 BENCH_SEED = 20260808
@@ -42,16 +39,13 @@ def report(name: str, passed: bool, detail: str = ""):
 
 
 def oracle_failures(raster: BitRaster) -> dict[str, list[str]]:
-    """Run one raster through the pipeline and both oracles plus validity."""
-    failures = {"even_odd": [], "edges": [], "validity": []}
-    grid, _ = form_rings(detect(raster))
-    if rasterize_even_odd(grid, raster.width, raster.height) != raster:
-        failures["even_odd"].append(f"{raster!r}")
-    edges = unit_edges(grid)
-    if len(edges) != len(set(edges)) or set(edges) != boundary_edges(raster):
-        failures["edges"].append(f"{raster!r}")
-    failures["validity"].extend(ring_validity_errors(grid, raster.marked_count()))
-    return failures
+    """Run one raster through the pipeline and the acceptance checks."""
+    d = detect(raster)
+    grid, _ = form_rings(d)
+    return {
+        name: [f"{raster!r}: {p}" for p in check(raster, d, grid)]
+        for name, check in ACCEPTANCE_CHECKS.items()
+    }
 
 
 def merge(into: dict, new: dict):
@@ -60,21 +54,8 @@ def merge(into: dict, new: dict):
 
 
 @pytest.fixture(scope="module")
-def exhaustive_sweep():
-    failures = {"even_odd": [], "edges": [], "validity": []}
-    count = 0
-    start = time.perf_counter()
-    for w in range(1, 5):
-        for h in range(1, 5):
-            for mask in range(2 ** (w * h)):
-                merge(failures, oracle_failures(raster_from_int(w, h, mask)))
-                count += 1
-    return failures, count, time.perf_counter() - start
-
-
-@pytest.fixture(scope="module")
 def randomized_sweep():
-    failures = {"even_odd": [], "edges": [], "validity": []}
+    failures = {name: [] for name in ACCEPTANCE_CHECKS}
     p_values = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
     rng = np.random.Generator(np.random.PCG64(424242))
     start = time.perf_counter()
@@ -96,13 +77,15 @@ def desk_benchmark():
     return records, time.perf_counter() - start
 
 
-def test_exhaustive_exactness(exhaustive_sweep):
-    failures, count, elapsed = exhaustive_sweep
+def test_exhaustive_exactness(sweep_up_to_4x4):
+    failures, seconds = sweep_up_to_4x4.failures, sweep_up_to_4x4.seconds
+    # Building each raster, tracing it and its acceptance checks.
+    elapsed = sum(seconds[part] for part in ["raster", "detect", "form_rings", *ACCEPTANCE_CHECKS])
     ok = not failures["even_odd"] and not failures["edges"] and elapsed < 60
     report(
         "exhaustive exactness 1x1..4x4",
         ok,
-        f"{count} masks, even-odd+boundary oracles, {elapsed:.1f}s",
+        f"{sweep_up_to_4x4.count} masks, even-odd+boundary oracles, {elapsed:.1f}s",
     )
 
 
@@ -116,8 +99,8 @@ def test_randomized_exactness(randomized_sweep):
     )
 
 
-def test_ring_validity_invariants(exhaustive_sweep, randomized_sweep):
-    problems = exhaustive_sweep[0]["validity"] + randomized_sweep[0]["validity"]
+def test_ring_validity_invariants(sweep_up_to_4x4, randomized_sweep):
+    problems = sweep_up_to_4x4.failures["validity"] + randomized_sweep[0]["validity"]
     report(
         "ring validity (closed, orthogonal, turning, edge-distinct, exact area sum)",
         not problems,
@@ -159,18 +142,12 @@ def test_peak_scaling_ratio(desk_benchmark):
 
 def test_bell_shape_at_500(desk_benchmark):
     records, elapsed = desk_benchmark
+    shape = check_shape([r for r in records if r.size == 500])
+    peak_p, peak = shape.peaks[500]
     series = {r.p: r.mean_seconds for r in records if r.size == 500}
-    peak_p = max(series, key=series.get)
-    peak = series[peak_p]
-    ok = (
-        0.3 <= peak_p <= 0.7
-        and series[0.0] < 0.5 * peak
-        and series[1.0] < 0.5 * peak
-        and elapsed < 300
-    )
     report(
         "bell shape at 500^2 over the 11-point p grid",
-        ok,
+        shape.ok and elapsed < 300,
         f"peak at p={peak_p}, endpoints {series[0.0] / peak:.1%}/"
         f"{series[1.0] / peak:.1%} of peak, bench took {elapsed:.0f}s",
     )
@@ -181,17 +158,7 @@ def test_ring_formation_is_output_sensitive():
     sparse = detect(bernoulli(1000, 1000, 0.02, 77))
 
     def ring_time(delineation):
-        times = []
-        for _ in range(3):
-            gc.disable()
-            try:
-                t0 = time.perf_counter()
-                out = form_rings(delineation)
-                times.append(time.perf_counter() - t0)
-            finally:
-                gc.enable()
-            del out
-        return fmean(times)
+        return fmean(seconds_per_call(form_rings, delineation, repeat=3, gc_off=True))
 
     ring_time(dense)  # warm-up
     t_dense = ring_time(dense)
@@ -211,20 +178,8 @@ def test_detect_is_output_sensitive():
     sparse = BitRaster(1000, 1000, block)
     dense = bernoulli(1000, 1000, 0.5, 4243)
 
-    def best_detect_time(raster):
-        times = []
-        for _ in range(5):
-            gc.disable()
-            try:
-                t0 = time.perf_counter()
-                detect(raster)
-                times.append(time.perf_counter() - t0)
-            finally:
-                gc.enable()
-        return min(times)
-
-    t_sparse = best_detect_time(sparse)
-    t_dense = best_detect_time(dense)
+    t_sparse = min(seconds_per_call(detect, sparse, repeat=5, gc_off=True))
+    t_dense = min(seconds_per_call(detect, dense, repeat=5, gc_off=True))
     report(
         "detect output-sensitive at 1000^2 (one block at most 1/25 of p=0.5)",
         t_sparse <= t_dense / 25,
@@ -235,19 +190,10 @@ def test_detect_is_output_sensitive():
 def test_assembly_scales_near_linearly():
     def best_assembly_time(size):
         grid, _ = form_rings(detect(bernoulli(size, size, 0.5, 4242)))
-        times = []
-        for _ in range(5):
-            # Assembly allocates a few dozen arrays and no object per
-            # polygon, but a collection that earlier allocations set off
-            # could still land in one run and time the collector.
-            gc.disable()
-            try:
-                t0 = time.perf_counter()
-                assemble_polygons(grid)
-                times.append(time.perf_counter() - t0)
-            finally:
-                gc.enable()
-        return min(times)
+        # Assembly allocates a few dozen arrays and no object per polygon,
+        # but a collection that earlier allocations set off could still
+        # land in one run and time the collector.
+        return min(seconds_per_call(assemble_polygons, grid, repeat=5, gc_off=True))
 
     t_small = best_assembly_time(500)
     t_large = best_assembly_time(1000)
@@ -264,12 +210,7 @@ def test_text_parsers_are_no_slower_than_detect():
     raster = bernoulli(1000, 1000, 0.5, 4243)
 
     def best_time(run, arg):
-        times = []
-        for _ in range(3):
-            t0 = time.perf_counter()
-            run(arg)
-            times.append(time.perf_counter() - t0)
-        return min(times)
+        return min(seconds_per_call(run, arg, repeat=3))
 
     # Both timed in one process, so the host's load slows both alike: a
     # per-byte loop in Python takes several times as long as detect, a

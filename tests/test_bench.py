@@ -1,9 +1,8 @@
-import gc
-import time
 from statistics import fmean
 
 import pytest
 
+from conftest import seconds_per_call
 from gridtrace import (
     TimingRecord,
     bernoulli,
@@ -111,19 +110,14 @@ class TestRunExperiment:
 
 def test_midrange_p_is_slowest_at_1000():
     # Directional: the full pipeline at p=0.5 outruns both tails at 1000^2.
+    def pipeline(raster):
+        return form_rings(detect(raster))
+
     def mean_time(p):
-        times = []
-        for trial in range(2):
-            raster = bernoulli(1000, 1000, p, trial)
-            gc.disable()
-            try:
-                start = time.perf_counter()
-                out = form_rings(detect(raster))
-                times.append(time.perf_counter() - start)
-            finally:
-                gc.enable()
-            del out
-        return fmean(times)
+        return fmean(
+            seconds_per_call(pipeline, bernoulli(1000, 1000, p, trial), repeat=1, gc_off=True)[0]
+            for trial in range(2)
+        )
 
     mean_time(0.5)  # warm-up
     mid, low, high = mean_time(0.5), mean_time(0.1), mean_time(0.9)

@@ -211,7 +211,7 @@ def test_ring_walk_matches_the_per_vertex_oracle(arena):
     )
 )
 def test_detect_finds_the_vertices_of_windows_classified_one_at_a_time(raster):
-    assert traced_vertices(raster) == vertices_one_at_a_time(raster)
+    assert traced_vertices(detect(raster)) == vertices_one_at_a_time(raster)
 
 
 @PROPERTY

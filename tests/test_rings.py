@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from conftest import raster_from_int, ring_validity_errors, walk_outcomes
+from conftest import ring_validity_errors, walk_outcomes
 from gridtrace import (
     AffineTransform,
     BitRaster,
@@ -362,6 +362,18 @@ class TestSignedArea:
         grid, _ = rings_of(["111", "101", "111"])
         assert sorted(signed_area(r) for r in grid) == [-9, 1]
 
+    def test_exact_far_from_the_origin(self):
+        x = 2**40
+        square = [(x, x), (x, x + 1), (x + 1, x + 1), (x + 1, x), (x, x)]
+        assert signed_area(square) == -1
+        assert signed_area(np.array(square, np.uint64) + np.uint64(2**63)) == -1
+
+    def test_extent_of_2_to_the_62_is_refused(self):
+        side = 2**40
+        square = [(0, 0), (0, side), (side, side), (side, 0), (0, 0)]
+        with pytest.raises(ValueError, match=f"^grid rings span {side} x {side} corners;"):
+            signed_area(square)
+
     @pytest.mark.parametrize("seed", range(6))
     def test_area_sum_equals_marked_count(self, seed):
         p = [0.1, 0.3, 0.5, 0.7, 0.9, 0.5][seed]
@@ -445,7 +457,9 @@ class TestAssemblePolygons:
         assert list(assemble_polygons(square)) == [Polygon(0, [])]
 
     @pytest.mark.parametrize(
-        "shift", [(2**62, 0), (0, 2**62), (2**62, 2**62)], ids=["x", "y", "xy"]
+        "shift",
+        [(2**62, 0), (0, 2**62), (2**62, 2**62), (2**53, 2**53), (2**60, 2**60)],
+        ids=["x", "y", "xy", "2**53", "2**60"],
     )
     def test_traced_mask_shifted_far_from_the_origin(self, shift):
         # Three nested frames: two exteriors with a hole each, and an island.
@@ -466,6 +480,36 @@ class TestAssemblePolygons:
         shifted = RingSet(grid.coords.astype(np.int64) + shift, grid.offsets)
         expected = [Polygon(0, [1]), Polygon(2, [3]), Polygon(4, [])]
         assert list(assemble_polygons(shifted)) == list(assemble_polygons(grid)) == expected
+        assert assemble_polygons_bruteforce(shifted) == expected
+
+    @pytest.mark.parametrize(
+        "width,height",
+        [(2**61, 4), (3 * 2**60, 2), (2**31, 2**31)],
+        ids=["2**61-by-4", "3*2**60-by-2", "2**31-by-2**31"],
+    )
+    def test_extent_of_2_to_the_62_is_refused(self, width, height):
+        # Drawn (0,0)->(0,h)->(w,h)->(w,0): an exterior of area -w*h, which
+        # the oracle assembles in Python ints and the int64 paths refuse.
+        wide = [(0, 0), (0, height), (width, height), (width, 0), (0, 0)]
+        message = f"^grid rings span {width} x {height} corners;"
+        with pytest.raises(ValueError, match=message):
+            assemble_polygons(RingSet.of([wide], np.int64))
+        with pytest.raises(ValueError, match=message):
+            signed_area(wide)
+        assert assemble_polygons_bruteforce([wide]) == [Polygon(0, [])]
+
+    def test_extent_just_below_2_to_the_62_is_exact(self):
+        # A 2**59 x 7 exterior with a one-pixel hole in its far corner,
+        # moved to -2**62: the cross products of the corners themselves
+        # overflow int64.
+        w, h = 2**59, 7
+        frame = [(0, 0), (0, h), (w, h), (w, 0), (0, 0)]
+        hole = [(w - 2, h - 2), (w - 1, h - 2), (w - 1, h - 1), (w - 2, h - 1), (w - 2, h - 2)]
+        packed = RingSet.of([frame, hole], np.int64)
+        rings = RingSet(packed.coords - 2**62, packed.offsets)
+        assert [signed_area(r) for r in rings] == [-w * h, 1]
+        expected = [Polygon(0, [1])]
+        assert list(assemble_polygons(rings)) == assemble_polygons_bruteforce(rings) == expected
 
     def test_float_coordinates_are_refused(self):
         grid, _ = rings_of(["111", "101", "111"])
@@ -488,20 +532,17 @@ HOLE_1_AT_0 = [(0, 0), (1, 0), (1, 1), (0, 1), (0, 0)]
 HOLE_1_AT_2 = [(2, 0), (3, 0), (3, 1), (2, 1), (2, 0)]
 PIXEL_AT_0 = [(0, 0), (0, 1), (1, 1), (1, 0), (0, 0)]
 FLAT = [(0, 0), (0, 1), (0, 0)]
+# An exterior whose right side steps at y = 5, and a hole whose first
+# edge is vertical and 2 long, so the midpoint of that edge is at y = 5.
+STEPPED_12 = [(0, 0), (0, 10), (10, 10), (10, 5), (12, 5), (12, 0), (0, 0)]
+HOLE_2_AT_4_FROM_THE_RIGHT = [(6, 4), (6, 6), (4, 6), (4, 4), (6, 4)]
 
 
 class TestAssembleMatchesBruteforce:
     """The scanline assembler against the containment-search oracle."""
 
-    def test_every_mask_up_to_4x4(self):
-        mismatches = []
-        for w in range(1, 5):
-            for h in range(1, 5):
-                for mask in range(2 ** (w * h)):
-                    grid, _ = form_rings(detect(raster_from_int(w, h, mask)))
-                    if list(assemble_polygons(grid)) != assemble_polygons_bruteforce(grid):
-                        mismatches.append((w, h, mask))
-        assert mismatches == []
+    def test_every_mask_up_to_4x4(self, sweep_up_to_4x4):
+        assert sweep_up_to_4x4.failures["assembly"] == []
 
     def test_random_masks_up_to_64x64(self):
         rng = np.random.Generator(np.random.PCG64(20261018))
@@ -525,6 +566,9 @@ class TestAssembleMatchesBruteforce:
             pytest.param([PIXEL_AT_0, FLAT, FLAT], id="zero-area"),
             pytest.param([FLAT, HOLE_1_AT_0], id="zero-area-before-orphan"),
             pytest.param([], id="empty"),
+            pytest.param(
+                [STEPPED_12, HOLE_2_AT_4_FROM_THE_RIGHT], id="hole-level-with-exterior-corner"
+            ),
         ],
     )
     def test_hand_built_rings(self, rings):

@@ -3,7 +3,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from conftest import TEXT_ORACLES, parse_outcome, raster_from_int
+from conftest import TEXT_ORACLES, parse_outcome
 from gridtrace import (
     BitRaster,
     bernoulli,
@@ -95,16 +95,6 @@ class TestRasterizeEvenOdd:
                         if cx > x + 0.5 and min(y0, y1) < y + 0.5 < max(y0, y1)
                     )
                     assert (crossings % 2 == 1) == pixel_at(filled, x, y), (seed, x, y)
-
-
-def test_pipeline_matches_oracles_on_small_exhaustive():
-    for mask in range(2 ** 9):
-        r = raster_from_int(3, 3, mask)
-        grid, _ = form_rings(detect(r))
-        assert rasterize_even_odd(grid, 3, 3) == r, mask
-        edges = unit_edges(grid)
-        assert len(edges) == len(set(edges)), mask
-        assert set(edges) == boundary_edges(r), mask
 
 
 # Every payload of up to 4 bytes over {0, 1, space, LF, CR, x}.
