@@ -9,9 +9,10 @@ run does not collect it.
 The masks are Bernoulli(0.5) noise at 128^2, 500^2 and 1000^2, near the
 p where each stage costs most, and a 1500^2 mask of few large blocky
 regions, like a classifier's output, whose vertex count is small against
-its pixel count. Each stage's input is built once per mask, outside
-the timed calls; rings go through a north-up world transform, as they do
-from the command line with a world file.
+its pixel count. A 4^2 noise mask times what each stage costs per call,
+whatever the size of its input. Each stage's input is built once per
+mask, outside the timed calls; rings go through a north-up world
+transform, as they do from the command line with a world file.
 """
 
 import numpy as np
@@ -40,6 +41,7 @@ def blocks(size: int, cell: int, seed: int) -> BitRaster:
 
 
 MASKS = {
+    "noise-4": lambda: bernoulli(4, 4, 0.5, 1),
     "noise-128": lambda: bernoulli(128, 128, 0.5, 1),
     "noise-500": lambda: bernoulli(500, 500, 0.5, 1),
     "noise-1000": lambda: bernoulli(1000, 1000, 0.5, 1),

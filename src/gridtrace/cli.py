@@ -10,16 +10,17 @@ that came out inconsistent.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import stat
 import sys
 from pathlib import Path
 
 from .bench import check_shape, run_experiment
-from .raster import MaskError, bernoulli, parse_mask, sniff_mask_format, write_mask
+from .raster import bernoulli, parse_mask, sniff_mask_format, write_mask
 from .rings import RingTraversalError, TopologyError, assemble_polygons, form_rings
 from .trace import TraceError, detect
-from .transform import IDENTITY, DegenerateTransformError, WorldFileError, parse_world_file
+from .transform import IDENTITY, WorldFileError, parse_world_file
 from .writers import write_geojson, write_timing_csv, write_wkt
 
 __all__ = ["main"]
@@ -46,7 +47,9 @@ def _min_two(text: str) -> int:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared by every call."""
     parser = argparse.ArgumentParser(
         prog="gridtrace",
         description="Trace binary raster masks into exact orthogonal geospatial polygons.",
@@ -98,7 +101,7 @@ def main(argv: list[str] | None = None) -> int:
     except TopologyError as exc:
         print(f"gridtrace: topology error: {exc}", file=sys.stderr)
         return 2
-    except (MaskError, WorldFileError, DegenerateTransformError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"gridtrace: error: {exc}", file=sys.stderr)
         return 1
     except (TraceError, RingTraversalError) as exc:

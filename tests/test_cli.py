@@ -338,3 +338,35 @@ def test_module_forms_run_the_cli(tmp_path, capsys, module):
             assert (run.returncode, run.stdout, run.stderr) == (code, "", err)
             if code == 0:
                 assert (tmp_path / "module").read_bytes() == (tmp_path / "in-process").read_bytes()
+
+
+def test_calls_in_one_process_match_fresh_processes(tmp_path, capsysbinary):
+    # One parser serves every call; an option given in one call, or a usage
+    # error, must not carry over into the next.
+    mask = write_mask_file(tmp_path, write_mask(bernoulli(9, 7, 0.5, 2), "pbm-binary"))
+    world = tmp_path / "north-up.wld"
+    world.write_text("0.5\n0\n0\n-0.5\n10\n20\n")
+    base = ["delineate", "--input", mask]
+    calls = [
+        [*base, "--format", "wkt"],
+        [*base, "--crs", "EPSG:4326", "--world", str(world)],
+        [*base, "--format", "rings-geojson", "--crs", "urn:ogc:def:crs:OGC::CRS84"],
+        [*base, "--format", "bogus"],
+        [*base],
+        [*base, "--format", "rings-geojson"],
+        [*base, "--world", str(tmp_path / "missing.wld"), "--format", "wkt"],
+        [*base, "--format", "geojson", "--crs", "EPSG:3857"],
+    ]
+    src = str(Path(gridtrace.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    for argv in calls:
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsysbinary.readouterr()
+        run = subprocess.run(
+            [sys.executable, "-m", "gridtrace", *argv], env=env, capture_output=True, timeout=60
+        )
+        assert (code, out, err) == (run.returncode, run.stdout, run.stderr), argv

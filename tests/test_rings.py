@@ -1,4 +1,5 @@
 import re
+from itertools import count, islice
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from gridtrace import (
     form_rings,
     signed_area,
 )
+from gridtrace.rings import _SCALAR_BELOW
 from gridtrace.verify import assemble_polygons_bruteforce
 
 
@@ -200,6 +202,32 @@ def test_long_rings_match_the_per_vertex_walk(raster):
     # One ring of 1202 vertices behind a single entry corner (staircase),
     # hundreds of teeth on one ring (comb), and long rings among many.
     fast, oracle = walk_outcomes(detect(raster))
+    assert fast == oracle
+
+
+def zigzag_ring(minima: int) -> Delineation:
+    """One ring of entry corners and plain vertices. Along the ring the
+    corners read i and then a run of 1 to 3 corners numbered above every
+    such i, for each i below `minima`, so the corners' own permutation has
+    exactly `minima` local minima. Corner j is followed by j % 7 plain
+    vertices, so its segment weighs 1 to 7."""
+    runs = [i % 3 + 1 for i in range(minima)]
+    high = count(minima)
+    corners = [c for i, run in enumerate(runs) for c in [i, *islice(high, run)]]
+    plain = count(len(corners))
+    order = [v for j, c in enumerate(corners) for v in [c, *islice(plain, j % 7)]]
+    nxt = np.empty(len(order), np.int64)
+    nxt[order] = np.roll(order, -1)
+    n = len(order)
+    return Delineation(np.arange(n), n - np.arange(n), nxt, np.arange(len(corners)))
+
+
+@pytest.mark.parametrize("walkers", [_SCALAR_BELOW - 1, _SCALAR_BELOW, _SCALAR_BELOW + 1])
+def test_walker_count_at_the_scalar_hand_off_matches_the_per_vertex_walk(walkers):
+    # Ranking the corners starts `walkers` weighted walkers, one per local
+    # minimum: at and above the threshold numpy steps them until some
+    # arrive, and the rest go on one element at a time; below it, all do.
+    fast, oracle = walk_outcomes(zigzag_ring(walkers))
     assert fast == oracle
 
 
