@@ -10,9 +10,12 @@ The masks are Bernoulli(0.5) noise at 128^2, 500^2 and 1000^2, near the
 p where each stage costs most, and a 1500^2 mask of few large blocky
 regions, like a classifier's output, whose vertex count is small against
 its pixel count. A 4^2 noise mask times what each stage costs per call,
-whatever the size of its input. Each stage's input is built once per
-mask, outside the timed calls; rings go through a north-up world
-transform, as they do from the command line with a world file.
+whatever the size of its input. The arena check, `Delineation` built from
+the fields of the mask's `detect` arena, is timed as its own stage;
+`detect` includes it once, and `form_rings` not at all. Each stage's input
+is built once per mask, outside the timed calls; rings go through a
+north-up world transform, as they do from the command line with a world
+file.
 """
 
 import numpy as np
@@ -23,6 +26,7 @@ pytest.importorskip("pytest_benchmark")
 from gridtrace import (  # noqa: E402
     AffineTransform,
     BitRaster,
+    Delineation,
     assemble_polygons,
     bernoulli,
     detect,
@@ -61,6 +65,11 @@ def stages(request):
 
 def test_detect(benchmark, stages):
     benchmark(detect, stages[0])
+
+
+def test_delineation(benchmark, stages):
+    d = stages[1]
+    benchmark(Delineation, d.xs, d.ys, d.next_ids, d.corners)
 
 
 def test_form_rings(benchmark, stages):

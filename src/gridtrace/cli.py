@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .bench import check_shape, run_experiment
 from .raster import bernoulli, parse_mask, sniff_mask_format, write_mask
-from .rings import RingTraversalError, TopologyError, assemble_polygons, form_rings
+from .rings import TopologyError, assemble_polygons, form_rings
 from .trace import TraceError, detect
 from .transform import IDENTITY, WorldFileError, parse_world_file
 from .writers import write_geojson, write_timing_csv, write_wkt
@@ -104,7 +104,7 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, ValueError) as exc:
         print(f"gridtrace: error: {exc}", file=sys.stderr)
         return 1
-    except (TraceError, RingTraversalError) as exc:
+    except TraceError as exc:
         print(f"gridtrace: internal error: {exc}", file=sys.stderr)
         return 3
 

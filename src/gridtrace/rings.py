@@ -54,7 +54,7 @@ from itertools import pairwise
 
 import numpy as np
 
-from .trace import Delineation, link_problem
+from .trace import Delineation, RingTraversalError
 from .transform import IDENTITY, AffineTransform
 
 __all__ = [
@@ -67,10 +67,6 @@ __all__ = [
     "form_rings",
     "signed_area",
 ]
-
-
-class RingTraversalError(RuntimeError):
-    """Vertex lists are not clean circular lists covering every vertex."""
 
 
 class TopologyError(ValueError):
@@ -222,26 +218,15 @@ def form_rings(
     have no straight runs. World positions that overflow come out as
     non-finite floats, without a warning; the writers refuse them.
 
-    Raises RingTraversalError if an arena field is not 1-D or, unless
-    empty, not integer, the fields differ in length, next_ids is not a
-    permutation of the vertices, an entry corner is not a vertex, or no
-    entry corner reaches some vertex. Empty fields are read as int64.
+    An arena that is not a `Delineation` is built into one first, which
+    checks it. Raises RingTraversalError if no entry corner reaches some
+    vertex, naming the lowest such vertex and its corner.
     """
-    fields = {f: np.asarray(getattr(delineation, f)) for f in ("xs", "ys", "next_ids", "corners")}
-    for name, a in fields.items():
-        if a.ndim != 1:
-            raise RingTraversalError(f"arena field {name} has shape {a.shape}, not 1-D")
-        if not a.size:
-            fields[name] = a.astype(np.int64)
-        elif a.dtype.kind not in "iu":
-            raise RingTraversalError(f"arena field {name} holds {a.dtype} values, not integers")
-    xs, ys, nxt, corners = fields.values()
+    d = delineation
+    if not isinstance(d, Delineation):
+        d = Delineation(d.xs, d.ys, d.next_ids, d.corners)
+    xs, ys, nxt, corners = d.xs, d.ys, d.next_ids, d.corners
     n, m = len(nxt), len(corners)
-    problem = link_problem(nxt, corners)
-    if not len(xs) == len(ys) == n:
-        problem = f"arena has {len(xs)} xs, {len(ys)} ys and {n} next_ids"
-    if problem:
-        raise RingTraversalError(problem)
     # Narrow indices halve the bytes every gather and scatter of the walk
     # moves. Places in the closed buffer run to n plus the ring count.
     index = np.int32 if n + m <= np.iinfo(np.int32).max else np.int64
@@ -251,7 +236,13 @@ def form_rings(
     heads = corners.astype(index)
     next_head, size, vertex, segment, place = _segments(nxt.astype(index), heads)
     if len(vertex) != n:
-        raise RingTraversalError(f"{n - len(vertex)} vertices unreachable from any entry corner")
+        left = np.ones(n, bool)
+        left[vertex] = False
+        v = np.argmax(left)
+        raise RingTraversalError(
+            f"{n - len(vertex)} vertices unreachable from any entry corner;"
+            f" the lowest is vertex {v} at ({xs[v]}, {ys[v]})"
+        )
     leader, offset = _rank(next_head, size)
     # Ring k runs from its leader, the first-listed corner on it and the only
     # one at offset 0, round to a repeat of it; every corner's segment

@@ -31,7 +31,7 @@ the row pairing takes the copies in swapped order. Top-left corner vertices
 code 7 is kept because interior holes begin there.
 
 Vertices live in a flat arena of numpy int arrays in scan order; links
-are arena indices.
+are arena indices, checked once, when the `Delineation` is built.
 """
 
 from __future__ import annotations
@@ -42,26 +42,62 @@ import numpy as np
 
 from .raster import BitRaster
 
-__all__ = ["Delineation", "TraceError", "detect", "link_problem", "window_types"]
+__all__ = ["Delineation", "RingTraversalError", "TraceError", "detect", "window_types"]
 
 
 class TraceError(RuntimeError):
     """Internal wiring inconsistency; raised instead of emitting bad geometry."""
 
 
-@dataclass
-class Delineation:
-    """Vertex arena plus ring entry points produced by `detect`.
+class RingTraversalError(TraceError):
+    """Vertex lists are not clean circular lists covering every vertex."""
 
-    Four int arrays: xs/ys give each vertex's corner coordinates, next_ids
-    the successor in its circular list, corners the arena indices of ring
-    entry points in scan order. Hand-built arenas may use plain int lists.
-    """
+
+@dataclass(frozen=True)
+class Delineation:
+    """Vertex arena plus ring entry points, as `detect` builds them: four
+    read-only 1-D int arrays. xs/ys give each vertex's corner, next_ids its
+    successor in its circular list, corners the entry points in scan order.
+
+    Built from any int sequences, it raises RingTraversalError naming the
+    first bad field, vertex or corner unless every field is 1-D and integer
+    (an empty one is read as int64), the fields agree in length, next_ids
+    is a permutation of the vertices and every corner is one of them."""
 
     xs: np.ndarray
     ys: np.ndarray
     next_ids: np.ndarray
     corners: np.ndarray
+
+    def __post_init__(self):
+        for name in ("xs", "ys", "next_ids", "corners"):
+            a = np.asarray(getattr(self, name))
+            a = a if a.size else a.astype(np.int64)
+            if a.ndim != 1:
+                raise RingTraversalError(f"arena field {name} has shape {a.shape}, not 1-D")
+            if a.dtype.kind not in "iu":
+                raise RingTraversalError(f"arena field {name} holds {a.dtype} values, not integers")
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
+        xs, ys, nxt, corners = self.xs, self.ys, self.next_ids, self.corners
+        n = len(nxt)
+        if not len(xs) == len(ys) == n:
+            raise RingTraversalError(f"arena has {len(xs)} xs, {len(ys)} ys and {n} next_ids")
+        # Every cycle of a permutation closes, so a walk needs no step limit.
+        # The range check goes first: the bincount is as long as the largest link.
+        bad = np.flatnonzero((nxt < 0) | (nxt >= n))
+        if len(bad):
+            raise RingTraversalError(
+                f"vertex {bad[0]} is unlinked: its successor {nxt[bad[0]]} is not in 0..{n - 1}"
+            )
+        twice = np.flatnonzero(np.bincount(nxt, minlength=n) > 1)
+        if len(twice):
+            raise RingTraversalError(
+                f"vertex {twice[0]} is linked more than once; lists are not disjoint cycles"
+            )
+        bad = corners[(corners < 0) | (corners >= n)]
+        if len(bad):
+            raise RingTraversalError(f"entry corner {bad[0]} is not a vertex in 0..{n - 1}")
 
     @property
     def vertex_count(self) -> int:
@@ -69,32 +105,11 @@ class Delineation:
 
     def dump(self) -> str:
         """One line per vertex: 'index x y next is_entry', for golden tests."""
-        xs, ys, nxt = (np.asarray(a).tolist() for a in (self.xs, self.ys, self.next_ids))
-        entry = set(np.asarray(self.corners).tolist())
+        xs, ys, nxt = (a.tolist() for a in (self.xs, self.ys, self.next_ids))
+        entry = set(self.corners.tolist())
         return "\n".join(
             f"{i} {xs[i]} {ys[i]} {nxt[i]} {1 if i in entry else 0}" for i in range(len(xs))
         )
-
-
-def link_problem(next_ids: np.ndarray, corners: np.ndarray) -> str | None:
-    """Why next_ids is not a permutation of range(n) with every corner in
-    range, naming the first bad vertex or corner; None if it is one.
-
-    Every cycle of a permutation closes, so a walk over checked links needs
-    no step limit.
-    """
-    n = len(next_ids)
-    bad = np.flatnonzero((next_ids < 0) | (next_ids >= n))
-    if len(bad):
-        i = int(bad[0])
-        return f"vertex {i} is unlinked: its successor {next_ids[i]} is not in 0..{n - 1}"
-    twice = np.flatnonzero(np.bincount(next_ids, minlength=n) > 1)
-    if len(twice):
-        return f"vertex {twice[0]} is linked more than once; lists are not disjoint cycles"
-    bad = np.flatnonzero((corners < 0) | (corners >= n))
-    if len(bad):
-        return f"entry corner {corners[bad[0]]} is not a vertex in 0..{n - 1}"
-    return None
 
 
 def window_types(raster: BitRaster) -> np.ndarray:
@@ -156,8 +171,8 @@ def detect(raster: BitRaster) -> Delineation:
     """Find all boundary vertices and wire them into circular linked lists.
 
     Vertices that do not pair off along rows and columns, or links that
-    leave a vertex without a successor or with two predecessors, raise
-    TraceError rather than returning partial geometry.
+    `Delineation` refuses, raise TraceError rather than returning partial
+    geometry.
     """
     if raster.width == 0 or raster.height == 0:
         # No pixels, no vertices; the padded grid may still be huge.
@@ -173,11 +188,16 @@ def _wire(
     The arena gives each vertex's corner (0 <= x <= width), its window
     code, which must be one that yields a vertex, and whether it is the
     second copy at a diagonal corner, all in scan order. Inconsistent codes
-    raise TraceError.
+    raise TraceError naming the first row or pair at fault.
     """
     n = len(code)
     if n % 2:
-        raise TraceError(f"{n} boundary vertices cannot pair off into edges")
+        rows, counts = np.unique(ys, return_counts=True)
+        odd = np.argmax(counts % 2)
+        raise TraceError(
+            f"{n} boundary vertices cannot pair off into edges:"
+            f" corner row {rows[odd]} holds {counts[odd]} of them"
+        )
 
     # Row pairs (a left of b) and column pairs (a above b); at a code-6
     # corner the second copy closes the edge coming from the left.
@@ -187,8 +207,15 @@ def _wire(
     # Stable sorts of 8- and 16-bit keys are radix sorts.
     cols = np.argsort(xs.astype(np.min_scalar_type(width)), kind="stable")
     ha, hb, va, vb = rows[0::2], rows[1::2], cols[0::2], cols[1::2]
-    if (ys[ha] != ys[hb]).any() or (xs[va] != xs[vb]).any():
-        raise TraceError("boundary vertices do not pair off along rows and columns")
+    for a, b, along, line in ((ha, hb, ys, "row"), (va, vb, xs, "column")):
+        bad = np.flatnonzero(along[a] != along[b])
+        if len(bad):
+            i, j = a[bad[0]], b[bad[0]]
+            raise TraceError(
+                f"boundary vertices do not pair off along rows and columns: the {line} pair"
+                f" vertex {i} at ({xs[i]}, {ys[i]}) and vertex {j} at ({xs[j]}, {ys[j]})"
+                f" is not on one {line}"
+            )
     # A horizontal edge runs leftward when the pixels below it are marked
     # (bit 8 of its left end); a vertical edge runs downward when the pixels
     # right of it are marked (bit 2 of its lower end).
@@ -197,7 +224,4 @@ def _wire(
         nxt[np.where(forward, a, b)] = np.where(forward, b, a)
     corners = np.flatnonzero((code == 7) | (code == 8) | (second & (code == 9)))
     del code, second, rows, six, cols, ha, hb, va, vb
-    problem = link_problem(nxt, corners)
-    if problem:
-        raise TraceError(problem)
     return Delineation(xs, ys, nxt, corners)

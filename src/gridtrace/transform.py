@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -63,7 +64,13 @@ class AffineTransform:
 
     @property
     def is_degenerate(self) -> bool:
-        return self.determinant == 0.0
+        """Whether a*e - b*d is zero, decided exactly on finite terms: in
+        floats it can overflow to NaN or underflow to zero."""
+        terms = (self.a, self.e, self.b, self.d)
+        if not all(map(math.isfinite, terms)):
+            return self.determinant == 0.0
+        a, e, b, d = map(Fraction, terms)
+        return a * e == b * d
 
 
 IDENTITY = AffineTransform(1.0, 0.0, 0.0, 0.0, 1.0, 0.0)

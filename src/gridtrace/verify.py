@@ -131,24 +131,25 @@ def rasterize_even_odd(grid_rings, width: int, height: int) -> BitRaster:
     return BitRaster(width, height, bits)
 
 
-def walk_rings_bruteforce(next_ids, corners) -> tuple[np.ndarray, np.ndarray]:
+def walk_rings_bruteforce(delineation) -> tuple[np.ndarray, np.ndarray]:
     """Reference for the ring walk of `rings.form_rings`, one vertex at a
     time: the int64 walk order and ring bounds, ring k being
     order[bounds[k]:bounds[k + 1]].
 
     Each entry corner not yet visited, in list order, starts a ring that
-    follows next_ids back to it. next_ids must be a permutation of the
-    vertices and every corner a vertex. Raises RingTraversalError, with
-    form_rings' message, if no entry corner reaches some vertex.
+    follows next_ids back to it. The arena must be a `Delineation`, whose
+    next_ids are a permutation of the vertices and whose corners are
+    vertices. Raises RingTraversalError, with form_rings' message, if no
+    entry corner reaches some vertex.
     """
     # A memoryview and an int64 array.array hold no int object per vertex.
-    nxt = memoryview(np.ascontiguousarray(next_ids, dtype=np.int64))
+    nxt = memoryview(np.ascontiguousarray(delineation.next_ids, dtype=np.int64))
     n = len(nxt)
     visited = bytearray(n)
     order = array.array("q")
     bounds = array.array("q", [0])
     append = order.append
-    for corner in np.asarray(corners, dtype=np.int64).tolist():
+    for corner in delineation.corners.tolist():
         if visited[corner]:
             continue
         i = corner
@@ -160,7 +161,12 @@ def walk_rings_bruteforce(next_ids, corners) -> tuple[np.ndarray, np.ndarray]:
                 break
         bounds.append(len(order))
     if len(order) != n:
-        raise RingTraversalError(f"{n - len(order)} vertices unreachable from any entry corner")
+        v = visited.index(0)
+        x, y = int(delineation.xs[v]), int(delineation.ys[v])
+        raise RingTraversalError(
+            f"{n - len(order)} vertices unreachable from any entry corner;"
+            f" the lowest is vertex {v} at ({x}, {y})"
+        )
     return np.frombuffer(order, dtype=np.int64), np.frombuffer(bounds, dtype=np.int64)
 
 

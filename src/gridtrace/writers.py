@@ -83,16 +83,19 @@ def _text(world_rings, polygons, numbers, position, collection, polygon, ring) -
     ring, in order, a polygon of its own. `numbers` turns a column's token
     values, which `_columns` gives, into their tokens.
 
-    Raises ValueError naming the lowest ring that is not closed, then the
-    lowest ring with a non-finite position (JSON and WKT have no NaN or
-    Infinity), then the first polygon, ring by ring, that refers to an
-    index that is not a ring's."""
+    Raises ValueError naming the lowest ring that is not closed (NaN ends
+    count as equal, and -0.0 as 0.0), then the lowest ring with a
+    non-finite position (JSON and WKT have no NaN or Infinity), then the
+    first polygon, ring by ring, that refers to an index that is not a
+    ring's."""
     rings = RingSet.of(world_rings, float)
     coords, offsets, n = rings.coords, rings.offsets, len(rings)
     starts, ends = offsets[:-1], offsets[1:]
     closed = ends - starts >= 2
     full = np.flatnonzero(closed)
-    closed[full] = (coords[starts[full]] == coords[ends[full] - 1]).all(axis=1)
+    a, b = coords[starts[full]], coords[ends[full] - 1]
+    # Two NaN ends are equal here, so that such a ring is named as non-finite.
+    closed[full] = ((a == b) | (a != a) & (b != b)).all(axis=1)
     if not closed.all():
         raise ValueError(f"ring {np.argmin(closed)} is not closed (first position must equal last)")
     # Token codes run below 3N + 6, since no column has more than N token

@@ -50,9 +50,9 @@ def walk_outcomes(delineation):
     except RingTraversalError as e:
         fast = str(e)
     try:
-        order, bounds = walk_rings_bruteforce(delineation.next_ids, delineation.corners)
+        order, bounds = walk_rings_bruteforce(delineation)
         closed = np.insert(order, bounds[1:], order[bounds[:-1]])
-        xs, ys = np.asarray(delineation.xs)[closed], np.asarray(delineation.ys)[closed]
+        xs, ys = delineation.xs[closed], delineation.ys[closed]
         oracle = np.stack([xs, ys], axis=1).tolist(), (bounds + np.arange(len(bounds))).tolist()
     except RingTraversalError as e:
         oracle = str(e)

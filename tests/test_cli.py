@@ -137,6 +137,26 @@ class TestDelineate:
         err = capsys.readouterr().err
         assert err == f"gridtrace: error: line 5 is not a finite number: '{value}'\n"
 
+    # Rank 1 although a*e - b*d overflows to NaN in floats, and invertible
+    # although it underflows to 0.
+    @pytest.mark.parametrize(
+        "terms,code",
+        [("1e200 1e200 1e200 1e200 0 0", 1), ("1e-200 0 0 1e-200 0 0", 0)],
+        ids=["overflow", "underflow"],
+    )
+    def test_degeneracy_is_decided_exactly(self, tmp_path, capsys, terms, code):
+        mask = write_mask_file(tmp_path, SINGLE_PIXEL_PBM)
+        world = tmp_path / "mask.wld"
+        world.write_text(terms.replace(" ", "\n") + "\n")
+        assert cli.main(["delineate", "--input", mask, "--world", str(world),
+                         "--format", "wkt"]) == code
+        out, err = capsys.readouterr()
+        if code:
+            assert out == ""
+            assert err.startswith("gridtrace: error: degenerate transform (a*e - b*d = 0): ")
+        else:
+            assert out.startswith("POLYGON ((") and err == ""
+
     def test_huge_p1_header_exits_one_without_traceback(self, tmp_path, capsys):
         path = write_mask_file(tmp_path, b"P1\n100000 100000\n10\n")
         assert cli.main(["delineate", "--input", path]) == 1
@@ -216,6 +236,14 @@ class TestDelineate:
             ),
             pytest.param(
                 b"P1\n2 2\n1111\n", "1e308 0 -1e308 -1e308 0 0", "geojson", id="geojson-nan"
+            ),
+            # Corner (2, 2), where the only ring starts and ends, has a NaN lon.
+            *(
+                pytest.param(
+                    b"P1\n3 3\n0 0 0\n0 0 0\n0 0 1\n", "1e308 1 -1e308 1 0.5 0", fmt,
+                    id=f"{fmt}-nan-at-first-corner",
+                )
+                for fmt in ("geojson", "wkt", "rings-geojson")
             ),
         ],
     )

@@ -1,5 +1,6 @@
 import re
 from itertools import count, islice
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -91,15 +92,15 @@ class TestFormRings:
             assert sum(len(r) - 1 for r in grid) == d.vertex_count
 
     def test_walk_that_never_closes_aborts(self):
-        bad = Delineation(xs=[0, 1, 2], ys=[0, 0, 0], next_ids=[1, 2, 1], corners=[0])
         with pytest.raises(RingTraversalError):
-            form_rings(bad)
+            Delineation(xs=[0, 1, 2], ys=[0, 0, 0], next_ids=[1, 2, 1], corners=[0])
 
     def test_unreachable_vertices_abort(self):
         bad = Delineation(
             xs=[0, 1, 5, 5], ys=[0, 0, 0, 1], next_ids=[1, 0, 3, 2], corners=[0]
         )
-        with pytest.raises(RingTraversalError, match="^2 vertices unreachable from any entry corner$"):
+        message = r"^2 vertices unreachable from any entry corner; the lowest is vertex 2 at \(5, 0\)$"
+        with pytest.raises(RingTraversalError, match=message):
             form_rings(bad)
 
     def test_pipeline_rings_have_no_straight_runs(self):
@@ -111,9 +112,8 @@ class TestFormRings:
         assert ring_validity_errors(straight, 2) == ["ring 0 has a straight run at (0,1)"]
 
     def test_negative_link_aborts(self):
-        bad = Delineation(xs=[0, 1], ys=[0, 0], next_ids=[1, -1], corners=[0])
         with pytest.raises(RingTraversalError):
-            form_rings(bad)
+            Delineation(xs=[0, 1], ys=[0, 0], next_ids=[1, -1], corners=[0])
 
     @pytest.mark.parametrize(
         "xs,next_ids,corners,message",
@@ -135,9 +135,8 @@ class TestFormRings:
         ],
     )
     def test_out_of_range_index_aborts(self, xs, next_ids, corners, message):
-        bad = Delineation(xs=xs, ys=[0, 0], next_ids=next_ids, corners=corners)
         with pytest.raises(RingTraversalError, match=message):
-            form_rings(bad)
+            Delineation(xs=xs, ys=[0, 0], next_ids=next_ids, corners=corners)
 
     @pytest.mark.parametrize(
         "next_ids,corners,message",
@@ -148,9 +147,29 @@ class TestFormRings:
         ids=["link", "corner"],
     )
     def test_unsigned_values_are_named_as_given(self, next_ids, corners, message):
-        bad = Delineation([0], [0], np.array(next_ids, np.uint64), np.array(corners, np.uint64))
         with pytest.raises(RingTraversalError, match=message):
-            form_rings(bad)
+            Delineation([0], [0], np.array(next_ids, np.uint64), np.array(corners, np.uint64))
+
+    def test_arena_is_checked_once(self, monkeypatch):
+        calls = []
+        check = Delineation.__post_init__
+
+        def counted(self):
+            calls.append(1)
+            check(self)
+
+        monkeypatch.setattr(Delineation, "__post_init__", counted)
+        form_rings(detect(bernoulli(16, 16, 0.5, 2)))
+        assert len(calls) == 1
+
+    def test_other_arenas_are_checked_before_the_walk(self):
+        # Links that are no permutation would never bring the walk back.
+        loose = SimpleNamespace(xs=[0, 1, 2], ys=[0, 0, 0], next_ids=[1, 2, 1], corners=[0])
+        with pytest.raises(RingTraversalError, match="^vertex 1 is linked more than once"):
+            form_rings(loose)
+        loose.next_ids = [1, 2, 0]
+        grid, _ = form_rings(loose)
+        assert grid.coords.tolist() == [[0, 0], [1, 0], [2, 0], [0, 0]]
 
     def test_arrays_and_lists_give_the_same_rings(self):
         # The empty arena's lists are Delineation([], [], [], []).

@@ -1,11 +1,22 @@
+import re
+import tracemalloc
 from collections import Counter
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
 
 from conftest import raster_from_int, traced_vertices, vertices_one_at_a_time
 import gridtrace.trace as trace
-from gridtrace import BitRaster, TraceError, bernoulli, detect, window_types
+from gridtrace import (
+    BitRaster,
+    Delineation,
+    RingTraversalError,
+    TraceError,
+    bernoulli,
+    detect,
+    window_types,
+)
 from gridtrace.verify import classify_window
 
 # Window codes producing one vertex; the diagonal codes 6 and 9 produce two.
@@ -156,15 +167,66 @@ class TestWiringChecks:
     @pytest.mark.parametrize(
         "codes,message",
         [
-            pytest.param([[8, 0], [0, 0]], "cannot pair off", id="odd-count"),
-            pytest.param([[8, 1], [0, 0]], "rows and columns", id="column-mismatch"),
-            pytest.param([[8, 0], [1, 0]], "rows and columns", id="row-mismatch"),
-            pytest.param([[8, 4], [2, 2]], "unlinked", id="unlinked"),
+            pytest.param(
+                [[8, 0], [0, 0]],
+                "1 boundary vertices cannot pair off into edges: corner row 0 holds 1 of them",
+                id="odd-count",
+            ),
+            pytest.param(
+                [[8, 4, 0], [2, 1, 0], [8, 0, 0]],
+                "5 boundary vertices cannot pair off into edges: corner row 2 holds 1 of them",
+                id="odd-count-in-a-later-row",
+            ),
+            pytest.param(
+                [[8, 1], [0, 0]],
+                "boundary vertices do not pair off along rows and columns: the column pair"
+                " vertex 0 at (0, 0) and vertex 1 at (1, 0) is not on one column",
+                id="column-mismatch",
+            ),
+            pytest.param(
+                [[8, 0], [1, 0]],
+                "boundary vertices do not pair off along rows and columns: the row pair"
+                " vertex 0 at (0, 0) and vertex 1 at (0, 1) is not on one row",
+                id="row-mismatch",
+            ),
+            pytest.param(
+                [[8, 4], [2, 2]], "vertex 3 is unlinked: its successor -1 is not in 0..3",
+                id="unlinked",
+            ),
         ],
     )
     def test_inconsistent_codes_raise(self, codes, message):
         grid = np.array(codes, dtype=np.uint8)
         ys, xs = np.nonzero(np.isin(grid, list(SINGLE_VERTEX_CODES)))
         second = np.zeros(len(xs), dtype=bool)
-        with pytest.raises(TraceError, match=message):
+        with pytest.raises(TraceError, match=f"^{re.escape(message)}$"):
             trace._wire(xs, ys, grid[ys, xs], second, grid.shape[1] - 1)
+
+
+class TestDelineation:
+    def test_fields_are_read_only(self):
+        d = detect(bernoulli(6, 6, 0.5, 1))
+        for name in ("xs", "ys", "next_ids", "corners"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(d, name, getattr(d, name).copy())
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(d, name)[0] = 0
+
+    def test_hand_built_fields_become_int_arrays(self):
+        for fields in ([[0, 1], [0, 0], [1, 0], [0]], [[], [], [], []]):
+            d = Delineation(*fields)
+            arrays = (d.xs, d.ys, d.next_ids, d.corners)
+            assert [a.tolist() for a in arrays] == fields
+            assert all(a.dtype == np.int64 for a in arrays)
+
+    def test_far_link_is_refused_without_allocating_by_its_value(self):
+        # Counting predecessors takes a bincount as long as the largest link,
+        # so the range check must come first.
+        tracemalloc.start()
+        try:
+            with pytest.raises(RingTraversalError, match="^vertex 1 is unlinked: its successor"):
+                Delineation([0, 1], [0, 0], [1, 2**62], [0])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -92,6 +93,18 @@ def test_parse_world_file_non_numeric():
 def test_parse_world_file_degenerate():
     with pytest.raises(DegenerateTransformError):
         parse_world_file("0\n0\n0\n0\n1\n1")
+
+
+def test_degeneracy_is_decided_exactly():
+    # In floats a*e - b*d is inf - inf = NaN for this rank-1 file, and
+    # 1e-400 = 0 for this invertible one.
+    with pytest.raises(DegenerateTransformError, match=r"^degenerate transform \(a\*e - b\*d = 0\): "):
+        parse_world_file("1e200\n1e200\n1e200\n1e200\n0\n0\n")
+    tr = parse_world_file("1e-200\n0\n0\n1e-200\n0\n0\n")
+    assert tr.determinant == 0.0 and not tr.is_degenerate
+    assert AffineTransform(1e200, 1e200, 0, 1e200, 1e200, 0).is_degenerate
+    # Hand-built non-finite terms are read as the float determinant reads them.
+    assert not AffineTransform(math.inf, 0, 0, 0, 1, 0).is_degenerate
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
