@@ -10,7 +10,8 @@ The masks are Bernoulli(0.5) noise at 128^2, 500^2 and 1000^2, near the
 p where each stage costs most, and a 1500^2 mask of few large blocky
 regions, like a classifier's output, whose vertex count is small against
 its pixel count. A 4^2 noise mask times what each stage costs per call,
-whatever the size of its input. The arena check, `Delineation` built from
+whatever the size of its input. `parse_mask` is timed on the mask's P1,
+ASCII-grid and P4 bytes. The arena check, `Delineation` built from
 the fields of the mask's `detect` arena, is timed as its own stage;
 `detect` includes it once, and `form_rings` not at all. Each stage's input
 is built once per mask, outside the timed calls; rings go through a
@@ -31,7 +32,9 @@ from gridtrace import (  # noqa: E402
     bernoulli,
     detect,
     form_rings,
+    parse_mask,
     write_geojson,
+    write_mask,
     write_wkt,
 )
 
@@ -61,6 +64,11 @@ def stages(request):
     delineation = detect(raster)
     grid, world = form_rings(delineation, NORTH_UP)
     return raster, delineation, grid, world, assemble_polygons(grid)
+
+
+@pytest.mark.parametrize("format", ["pbm-ascii", "ascii-grid", "pbm-binary"])
+def test_parse_mask(benchmark, stages, format):
+    benchmark(parse_mask, write_mask(stages[0], format), format)
 
 
 def test_detect(benchmark, stages):

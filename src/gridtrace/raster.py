@@ -7,11 +7,12 @@ sentinel rows.
 
 Supported file formats: PBM P1 (plain text), PBM P4 (packed binary, rows
 padded to byte boundaries), and a bare ASCII grid of '0'/'1' rows. The text
-payloads are read whole: numpy maps every byte through a byte-class table
-and counts, checks and picks the digits in array passes, so no Python code
-runs per byte. A PBM header is read one field at a time by a regular
-expression. `verify` keeps per-byte readers of PBM headers and of both
-text formats as oracles for them.
+payloads are read whole in numpy array passes, so no Python code runs per
+byte, and each byte is classed by arithmetic on its value: a digit when
+`b | 1` is '1', whitespace when it is a space or from tab to carriage
+return (9 to 13). A PBM header is read one field at a time by a regular
+expression. `verify` keeps per-byte readers of PBM headers and of both text
+formats as oracles for them.
 """
 
 from __future__ import annotations
@@ -33,15 +34,6 @@ __all__ = [
 ]
 
 _MAX_DIMENSION = np.iinfo(np.intp).max
-
-# The class of every byte in a text payload: whitespace as bytes.isspace
-# defines it (space, \t, \n, \v, \f, \r), the digits 0 and 1, or any other
-# byte. Whitespace is 0 and the digits 1, so a run of classes with no other
-# byte in it reads as the digit mask through a bool view.
-_SPACE, _DIGIT, _OTHER = 0, 1, 2
-_BYTE_CLASS = np.full(256, _OTHER, np.uint8)
-_BYTE_CLASS[list(b" \t\n\v\f\r")] = _SPACE
-_BYTE_CLASS[list(b"01")] = _DIGIT
 
 # One PBM header field with the whitespace and comments before it. Every
 # repeat of the gap starts at a '#' and the field may be empty, so a match
@@ -219,6 +211,12 @@ def _pbm_header(data: bytes, magic: bytes) -> tuple[int, int, int]:
     return w, h, offset
 
 
+def _digits(b: np.ndarray) -> np.ndarray:
+    """Which bytes of the uint8 array `b` are '0' or '1'."""
+    low = b | 1
+    return np.equal(low, ord("1"), out=low.view(bool))  # no second temporary
+
+
 def _parse_pbm_ascii(data: bytes) -> BitRaster:
     w, h, offset = _pbm_header(data, b"P1")
     need = w * h
@@ -229,25 +227,30 @@ def _parse_pbm_ascii(data: bytes) -> BitRaster:
             f"payload has {len(data) - offset} bytes, too few for {w}x{h} pixels"
         )
     payload = np.frombuffer(data, np.uint8, offset=offset)
-    classes = _BYTE_CLASS[payload]
-    # The first problem in byte order wins: an other byte, or the digit
-    # after the last pixel, whichever comes first.
-    first = int(classes.argmax()) if classes.size else 0
-    stop = first if classes.size and classes[first] == _OTHER else classes.size
-    digits = classes[:stop].view(bool)
+    # Whitespace is \t to \r, where the uint8 difference wraps below 9,
+    # or a space.
+    valid = (payload - 9) <= 4
+    valid |= payload == ord(" ")
+    digits = _digits(payload)
+    valid |= digits
+    # The first problem in byte order wins: a byte that is neither digit
+    # nor whitespace, or the digit after the last pixel.
+    stop = payload.size if valid.all() else int(valid.argmin())
+    del valid
+    digits = digits[:stop]
     got = np.count_nonzero(digits)
     if got > need:
         at = offset + int(np.flatnonzero(digits)[need])
         raise MaskDimensionError(
             f"more than {need} pixels for {w}x{h}: digit {need + 1} at byte {at} of the P1 file"
         )
-    if stop < classes.size:
+    if stop < payload.size:
         at = offset + stop
         raise MaskError(f"unexpected byte {data[at : at + 1]!r} at byte {at} of the P1 file")
     if got < need:
         raise MaskTruncatedError(f"payload has {got} pixels, expected {need}")
-    values = payload[digits]
-    del classes, digits
+    values = payload[:stop][digits]
+    del digits
     values &= 1  # '0' and '1' differ in the low bit alone
     return BitRaster._adopt(values.view(bool).reshape(h, w))
 
@@ -264,7 +267,7 @@ def _parse_pbm_binary(data: bytes) -> BitRaster:
     if need == 0:
         return BitRaster(w, h)
     rows = np.frombuffer(payload, dtype=np.uint8).reshape(h, row_bytes)
-    return BitRaster._adopt(np.unpackbits(rows, axis=1)[:, :w].astype(bool))
+    return BitRaster._adopt(np.unpackbits(rows, axis=1, count=w).view(bool))
 
 
 def _parse_ascii_grid(data: bytes) -> BitRaster:
@@ -282,7 +285,7 @@ def _parse_ascii_grid(data: bytes) -> BitRaster:
     h = int(filled[-1]) + 1  # trailing empty lines are no rows
     starts, widths = starts[:h], (ends - starts)[:h]
     w = int(widths[0])
-    digits = _BYTE_CLASS[buf] == _DIGIT
+    digits = _digits(buf)
     bad = ~digits
     bad[newlines] = False
     bad[ends[crs]] = False

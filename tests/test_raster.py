@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -161,6 +163,18 @@ class TestPbmAscii:
         assert len(data) == 20
         with pytest.raises(MaskTruncatedError, match="too few for 100000x100000"):
             parse_mask(data, "pbm-ascii")
+
+    def test_parse_holds_one_mask_beside_its_pixels(self):
+        # 2.15 MiB of pixels, and before them the payload's digit mask and
+        # one other payload-sized array at a time.
+        data = write_mask(bernoulli(1500, 1500, 0.5, 1), "pbm-ascii")
+        tracemalloc.start()
+        try:
+            parse_mask(data, "pbm-ascii")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4.5 * 2**20
 
 
 class TestPbmBinary:

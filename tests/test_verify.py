@@ -104,7 +104,7 @@ SHORT_PAYLOADS = [
 
 
 class TestTextParserOracles:
-    """The whole-buffer parsers against their per-byte oracles: the same
+    """The numpy parsers against their per-byte oracles: the same
     bits, or the same exception class and message."""
 
     @pytest.mark.parametrize(
@@ -118,3 +118,12 @@ class TestTextParserOracles:
             assert parse_outcome(parse_mask, data, format) == parse_outcome(
                 TEXT_ORACLES[format], data
             )
+
+    @pytest.mark.parametrize("format", list(TEXT_ORACLES))
+    def test_every_single_byte(self, format):
+        header = b"P1\n1 1\n" if format == "pbm-ascii" else b""
+        for byte in range(256):
+            data = header + bytes([byte])
+            assert parse_outcome(parse_mask, data, format) == parse_outcome(
+                TEXT_ORACLES[format], data
+            ), byte
