@@ -6,11 +6,13 @@ pytest-benchmark, on fixed masks. Run from the repository root:
 This directory is outside the test suite's `testpaths`, so a plain `pytest`
 run does not collect it.
 
-The masks are Bernoulli(0.5) noise at 128^2, 500^2 and 1000^2, near the
-p where each stage costs most, and a 1500^2 mask of few large blocky
-regions, like a classifier's output, whose vertex count is small against
-its pixel count. A 4^2 noise mask times what each stage costs per call,
-whatever the size of its input. `parse_mask` is timed on the mask's P1,
+The masks are Bernoulli(0.5) noise at 128^2, 250^2, 500^2 and 1000^2,
+near the p where each stage costs most, and a 1500^2 mask of few large
+blocky regions, like a classifier's output, whose vertex count is small
+against its pixel count. From 250^2 to 1000^2 each stage shows its growth
+against the 16x in pixels, the pair of sizes whose ratio of whole-trace
+times the acceptance suite bounds. A 4^2 noise mask times what each stage
+costs per call, whatever the size of its input. `parse_mask` is timed on the mask's P1,
 ASCII-grid and P4 bytes. The arena check, `Delineation` built from
 the fields of the mask's `detect` arena, is timed as its own stage;
 `detect` includes it once, and `form_rings` not at all. Each stage's input
@@ -50,6 +52,7 @@ def blocks(size: int, cell: int, seed: int) -> BitRaster:
 MASKS = {
     "noise-4": lambda: bernoulli(4, 4, 0.5, 1),
     "noise-128": lambda: bernoulli(128, 128, 0.5, 1),
+    "noise-250": lambda: bernoulli(250, 250, 0.5, 1),
     "noise-500": lambda: bernoulli(500, 500, 0.5, 1),
     "noise-1000": lambda: bernoulli(1000, 1000, 0.5, 1),
     "blocks-1500": lambda: blocks(1500, 30, 1),

@@ -26,9 +26,11 @@ down each corner column they pair off top to bottom into vertical edges.
 Which way an edge runs depends only on which side of it is marked: bit 8 of
 a horizontal edge's left end, bit 2 of a vertical edge's lower end. Of the
 two copies at a code-6 corner, the second closes the edge from the left, so
-the row pairing takes the copies in swapped order. Top-left corner vertices
-(codes 7, 8 and the second copy of 9) are recorded as ring entry points;
-code 7 is kept because interior holes begin there.
+the row pairing takes the copies in swapped order. Every pair lies on one
+line exactly when each corner row and each corner column holds an even
+number of vertices, so two counts check both pairings. Top-left corner
+vertices (codes 7, 8 and the second copy of 9) are recorded as ring entry
+points; code 7 is kept because interior holes begin there.
 
 Vertices live in a flat arena of numpy int arrays in scan order; links
 are arena indices, checked once, when the `Delineation` is built.
@@ -177,45 +179,40 @@ def detect(raster: BitRaster) -> Delineation:
     if raster.width == 0 or raster.height == 0:
         # No pixels, no vertices; the padded grid may still be huge.
         return Delineation(*(np.zeros(0, dtype=np.intp) for _ in range(4)))
-    return _wire(*_vertices(raster), raster.width)
+    return _wire(*_vertices(raster))
 
 
-def _wire(
-    xs: np.ndarray, ys: np.ndarray, code: np.ndarray, second: np.ndarray, width: int
-) -> Delineation:
+def _wire(xs: np.ndarray, ys: np.ndarray, code: np.ndarray, second: np.ndarray) -> Delineation:
     """Wire a vertex arena into circular linked lists.
 
-    The arena gives each vertex's corner (0 <= x <= width), its window
-    code, which must be one that yields a vertex, and whether it is the
-    second copy at a diagonal corner, all in scan order. Inconsistent codes
-    raise TraceError naming the first row or pair at fault.
+    The arena gives each vertex's corner, its window code, which must be
+    one that yields a vertex, and whether it is the second copy at a
+    diagonal corner, all in scan order. Unless every corner row and column
+    holds an even number of vertices, TraceError names the first odd
+    corner row or column, rows first, and the first vertex on it.
     """
-    n = len(code)
-    if n % 2:
-        rows, counts = np.unique(ys, return_counts=True)
-        odd = np.argmax(counts % 2)
-        raise TraceError(
-            f"{n} boundary vertices cannot pair off into edges:"
-            f" corner row {rows[odd]} holds {counts[odd]} of them"
-        )
+    # The code-6 swap below exchanges two copies at one corner, so the
+    # rows' pairs lie on the same lines with or without it.
+    per_col = np.bincount(xs)
+    for along, counts, line in ((ys, np.bincount(ys), "row"), (xs, per_col, "column")):
+        odd = np.flatnonzero(counts % 2)
+        if len(odd):
+            k = odd[0]
+            i = np.argmax(along == k)
+            raise TraceError(
+                f"boundary vertices do not pair off into edges: corner {line} {k} holds"
+                f" {counts[k]} of them, the first being vertex {i} at ({xs[i]}, {ys[i]})"
+            )
 
     # Row pairs (a left of b) and column pairs (a above b); at a code-6
     # corner the second copy closes the edge coming from the left.
+    n = len(code)
     rows = np.arange(n)
     six = np.flatnonzero(second & (code == 6))
     rows[six - 1], rows[six] = six, six - 1
     # Stable sorts of 8- and 16-bit keys are radix sorts.
-    cols = np.argsort(xs.astype(np.min_scalar_type(width)), kind="stable")
+    cols = np.argsort(xs.astype(np.min_scalar_type(len(per_col) - 1)), kind="stable")
     ha, hb, va, vb = rows[0::2], rows[1::2], cols[0::2], cols[1::2]
-    for a, b, along, line in ((ha, hb, ys, "row"), (va, vb, xs, "column")):
-        bad = np.flatnonzero(along[a] != along[b])
-        if len(bad):
-            i, j = a[bad[0]], b[bad[0]]
-            raise TraceError(
-                f"boundary vertices do not pair off along rows and columns: the {line} pair"
-                f" vertex {i} at ({xs[i]}, {ys[i]}) and vertex {j} at ({xs[j]}, {ys[j]})"
-                f" is not on one {line}"
-            )
     # A horizontal edge runs leftward when the pixels below it are marked
     # (bit 8 of its left end); a vertical edge runs downward when the pixels
     # right of it are marked (bit 2 of its lower end).

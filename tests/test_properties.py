@@ -16,7 +16,7 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import HealthCheck, given, settings  # noqa: E402
+from hypothesis import HealthCheck, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
@@ -36,6 +36,8 @@ from gridtrace import (  # noqa: E402
     Polygon,
     PolygonSet,
     RingSet,
+    RingTraversalError,
+    TraceError,
     assemble_polygons,
     bernoulli,
     detect,
@@ -47,6 +49,7 @@ from gridtrace import (  # noqa: E402
     write_mask,
     write_wkt,
 )
+from gridtrace import trace  # noqa: E402
 from gridtrace.cli import main  # noqa: E402
 from gridtrace.raster import _pbm_header  # noqa: E402
 from gridtrace.verify import pbm_header_bruteforce  # noqa: E402
@@ -214,11 +217,75 @@ def test_detect_finds_the_vertices_of_windows_classified_one_at_a_time(raster):
     assert traced_vertices(detect(raster)) == vertices_one_at_a_time(raster)
 
 
+# The wiring sorts by x on keys as wide as the column counts say; the 301
+# corner columns of the example need 16 bits.
 @PROPERTY
 @given(raster=rasters(max_side=9))
+@example(raster=bernoulli(300, 40, 0.5, 18))
 def test_traced_rings_fill_back_to_the_mask(raster):
     grid, _ = form_rings(detect(raster))
     assert rasterize_even_odd(grid, raster.width, raster.height) == raster
+
+
+VERTEX_CODES = (1, 2, 4, 6, 7, 8, 9, 11, 13, 14)
+
+
+@st.composite
+def code_arenas(draw):
+    """The vertex arena of a grid of up to 8x8 corners, each empty or of a
+    vertex code, ordered as `detect` hands it to the wiring: scan order,
+    with two copies at codes 6 and 9, the second flagged."""
+    shape = draw(st.tuples(st.integers(1, 8), st.integers(1, 8)))
+    grid = draw(arrays(np.uint8, shape, elements=st.sampled_from((0, *VERTEX_CODES))))
+    ys, xs = np.nonzero(grid)
+    copies = np.isin(grid[ys, xs], (6, 9)) + 1
+    xs, ys, code = (np.repeat(a, copies) for a in (xs, ys, grid[ys, xs]))
+    second = np.zeros(len(code), dtype=bool)
+    second[1:] = (xs[1:] == xs[:-1]) & (ys[1:] == ys[:-1])
+    return xs, ys, code, second
+
+
+def pair_off_one_at_a_time(xs, ys, code, second):
+    """The message the wiring must raise for an arena, or None when every
+    row pair (scan order, the copies at a code-6 corner swapped) and every
+    column pair (stable order by x) lies on one line."""
+    xs, ys = xs.tolist(), ys.tolist()
+    rows = list(range(len(xs)))
+    for i in rows[1:]:
+        if second[i] and code[i] == 6:
+            rows[i - 1], rows[i] = rows[i], rows[i - 1]
+    cols = sorted(rows, key=lambda i: xs[i])
+    if all(
+        k + 1 < len(order) and along[order[k]] == along[order[k + 1]]
+        for order, along in ((rows, ys), (cols, xs))
+        for k in range(0, len(order), 2)
+    ):
+        return None
+    for line, along in (("row", ys), ("column", xs)):
+        odd = [k for k in sorted(set(along)) if along.count(k) % 2]
+        if odd:
+            i = along.index(odd[0])
+            return (
+                f"boundary vertices do not pair off into edges: corner {line} {odd[0]}"
+                f" holds {along.count(odd[0])} of them, the first being vertex {i}"
+                f" at ({xs[i]}, {ys[i]})"
+            )
+    raise AssertionError("pairs straddle two lines, yet every row and column is even")
+
+
+@PROPERTY
+@given(arena=code_arenas())
+def test_wiring_refuses_exactly_the_arenas_whose_pairs_straddle_two_lines(arena):
+    message = None
+    try:
+        trace._wire(*arena)
+    except RingTraversalError:
+        # Pairs that stay on their lines but link no permutation: the
+        # arena check's refusal, not the pairing's.
+        pass
+    except TraceError as e:
+        message = str(e)
+    assert message == pair_off_one_at_a_time(*arena)
 
 
 # World files: arbitrary bytes, or six numbers that may be non-finite, huge

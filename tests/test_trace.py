@@ -169,24 +169,26 @@ class TestWiringChecks:
         [
             pytest.param(
                 [[8, 0], [0, 0]],
-                "1 boundary vertices cannot pair off into edges: corner row 0 holds 1 of them",
+                "boundary vertices do not pair off into edges: corner row 0 holds 1 of them,"
+                " the first being vertex 0 at (0, 0)",
                 id="odd-count",
             ),
             pytest.param(
                 [[8, 4, 0], [2, 1, 0], [8, 0, 0]],
-                "5 boundary vertices cannot pair off into edges: corner row 2 holds 1 of them",
+                "boundary vertices do not pair off into edges: corner row 2 holds 1 of them,"
+                " the first being vertex 4 at (0, 2)",
                 id="odd-count-in-a-later-row",
             ),
             pytest.param(
                 [[8, 1], [0, 0]],
-                "boundary vertices do not pair off along rows and columns: the column pair"
-                " vertex 0 at (0, 0) and vertex 1 at (1, 0) is not on one column",
+                "boundary vertices do not pair off into edges: corner column 0 holds 1 of them,"
+                " the first being vertex 0 at (0, 0)",
                 id="column-mismatch",
             ),
             pytest.param(
                 [[8, 0], [1, 0]],
-                "boundary vertices do not pair off along rows and columns: the row pair"
-                " vertex 0 at (0, 0) and vertex 1 at (0, 1) is not on one row",
+                "boundary vertices do not pair off into edges: corner row 0 holds 1 of them,"
+                " the first being vertex 0 at (0, 0)",
                 id="row-mismatch",
             ),
             pytest.param(
@@ -200,7 +202,7 @@ class TestWiringChecks:
         ys, xs = np.nonzero(np.isin(grid, list(SINGLE_VERTEX_CODES)))
         second = np.zeros(len(xs), dtype=bool)
         with pytest.raises(TraceError, match=f"^{re.escape(message)}$"):
-            trace._wire(xs, ys, grid[ys, xs], second, grid.shape[1] - 1)
+            trace._wire(xs, ys, grid[ys, xs], second)
 
 
 class TestDelineation:
