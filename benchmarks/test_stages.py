@@ -9,9 +9,12 @@ run does not collect it.
 The masks are Bernoulli(0.5) noise at 128^2, 250^2, 500^2 and 1000^2,
 near the p where each stage costs most, and a 1500^2 mask of few large
 blocky regions, like a classifier's output, whose vertex count is small
-against its pixel count. From 250^2 to 1000^2 each stage shows its growth
-against the 16x in pixels, the pair of sizes whose ratio of whole-trace
-times the acceptance suite bounds. A 4^2 noise mask times what each stage
+against its pixel count. A 3 x 100 000 mask marked all but one pixel is
+one exterior and one hole, ten ring points over 100 000 rows: assembly
+ranks its rows among the distinct ones before it cuts unit edges. From
+250^2 to 1000^2 each stage shows its growth against the 16x in pixels,
+the pair of sizes whose ratio of whole-trace times the acceptance suite
+bounds. A 4^2 noise mask times what each stage
 costs per call, whatever the size of its input. `parse_mask` is timed on the mask's P1,
 ASCII-grid and P4 bytes. The arena check, `Delineation` built from
 the fields of the mask's `detect` arena, is timed as its own stage;
@@ -49,6 +52,13 @@ def blocks(size: int, cell: int, seed: int) -> BitRaster:
     return BitRaster(size, size, np.kron(coarse, np.ones((cell, cell), dtype=bool)))
 
 
+def tall(height: int) -> BitRaster:
+    """Three pixels wide, marked all but pixel (1, height // 2)."""
+    bits = np.ones((height, 3), dtype=bool)
+    bits[height // 2, 1] = False
+    return BitRaster(3, height, bits)
+
+
 MASKS = {
     "noise-4": lambda: bernoulli(4, 4, 0.5, 1),
     "noise-128": lambda: bernoulli(128, 128, 0.5, 1),
@@ -56,6 +66,7 @@ MASKS = {
     "noise-500": lambda: bernoulli(500, 500, 0.5, 1),
     "noise-1000": lambda: bernoulli(1000, 1000, 0.5, 1),
     "blocks-1500": lambda: blocks(1500, 30, 1),
+    "tall-3": lambda: tall(100_000),
 }
 
 

@@ -36,8 +36,9 @@ clockwise hole winding in world coordinates.
 Polygon assembly gives every hole its parent border in one scan, after
 Suzuki & Abe (CVGIP 30(1), 1985): the unit edge just left of a hole's
 top-left edge belongs to the exterior that owns it or to another of that
-exterior's holes. Sorting the vertical unit edges once makes this
-O(P log P) in the vertical perimeter P. The polygons come out as a
+exterior's holes. The vertical segments are the one table; a unit edge
+keeps only its key and its segment's index. Sorting the keys once makes
+this O(P log P) in the vertical perimeter P. The polygons come out as a
 `PolygonSet` in GeoArrow's polygon layout: one array of ring indices, each
 polygon's outer ring first and its holes after it, cut into polygons by an
 offsets array. One `np.lexsort` of the rings by owning exterior puts them
@@ -425,14 +426,19 @@ def assemble_polygons(grid_rings) -> PolygonSet:
     surrounds them.
 
     One scanline pass finds every hole's owner. The rings' vertical
-    segments are cut into unit edges keyed by (row, column), and the keys
-    are sorted once. A hole's smallest key is its top row's leftmost edge;
-    the nearest unit edge strictly to its left in that row bounds the
-    marked run around the hole, so it must run downward (y increasing),
-    and its ring owns the hole. An owner that is itself a hole hands the
-    hole on to its own owner; each hand-off moves to a strictly smaller
-    key, so pointer jumping reaches an exterior. Cost: O(P log P) in the
-    vertical perimeter P, with arrays of size O(P).
+    segments are cut into unit edges, each holding only its (row, column)
+    key and its segment's index, and the keys are sorted once. A hole's
+    smallest key, the least top edge of its segments, is its top row's
+    leftmost edge; the nearest unit edge strictly to its left in that row
+    bounds the marked run around the hole, so its segment must run
+    downward (y increasing), and that segment's ring owns the hole. An
+    owner that is itself a hole hands the hole on to its own owner; each
+    hand-off moves to a strictly smaller key, so pointer jumping reaches an
+    exterior. Cost: O(P log P) in the vertical perimeter P, with arrays of
+    size O(P). A set whose rows span at least as many rows as it has
+    points first has each row replaced by its rank among the distinct
+    rows, which keeps their order, so P is then at most segments x
+    distinct rows, however far apart the rows lie.
 
     Returns a PolygonSet: exteriors in ring order, each followed by its
     holes in ascending ring order. Raises TopologyError for zero-area
@@ -440,53 +446,66 @@ def assemble_polygons(grid_rings) -> PolygonSet:
     surrounds. Bool and integer coordinates are read as int64, and areas
     are summed exactly in int64 on corners moved by the set's minimum, so
     a set far from the origin assembles as it would near it. Raises
-    ValueError for float coordinates, and for a set of extent X by Y
-    (maximum less minimum on each axis) with X*Y >= 2**62: below that,
-    every doubled area and every unit-edge key fits in int64.
+    ValueError, before any TopologyError, for float coordinates; then for
+    a step that is neither horizontal nor vertical, naming the lowest ring
+    with one and the corners of its first such step; then for a set of
+    extent X by Y (maximum less minimum on each axis) with X*Y >= 2**62:
+    below that, every doubled area and every unit-edge key (row * width +
+    column, width at most X + 1) fits in int64.
     """
     rings = RingSet.of(grid_rings, np.int64)
     if rings.coords.dtype.kind == "f":
         raise ValueError(f"grid rings hold {rings.coords.dtype} coordinates, not integers")
     n = len(rings)
     point_ring = np.repeat(np.arange(n), np.diff(rings.offsets))
+    # Steps between consecutive points that change row, less those that
+    # join one ring's last point to the next ring's first.
+    step_ring = point_ring[:-1]
+    x, y = rings.coords.T
+    vertical = x[:-1] == x[1:]
+    moves = (step_ring == point_ring[1:]) & (y[:-1] != y[1:])
+    diagonal = np.flatnonzero(moves & ~vertical)
+    if len(diagonal):
+        i = diagonal[0]
+        a, b = (tuple(p) for p in rings.coords[i : i + 2].tolist())
+        raise ValueError(f"ring {step_ring[i]} steps diagonally from {a} to {b}")
     # Shifted to start at 0: areas, keys and directions do not change.
     twice_area, x, y = _twice_areas(rings.coords, rings.offsets)
     flat = np.flatnonzero(twice_area == 0)
     if len(flat):
         i = int(flat[0])
         raise TopologyError(f"ring {i} has zero area", ring_index=i)
+    if y.max(initial=0) >= len(y):
+        # Ranks among the distinct rows keep the rows' order, so no owner
+        # changes, and a segment then cuts into fewer unit edges than there
+        # are points.
+        y = np.unique(y, return_inverse=True)[1]
 
-    # Steps between consecutive points, minus those that join one ring's
-    # last point to the next ring's first.
-    step_ring = point_ring[:-1]
-    inside = step_ring == point_ring[1:]
-
-    # Vertical segments cut into unit edges, each keyed by (row, column); a
-    # step of length 0 cuts into none.
-    seg = np.flatnonzero(inside & (x[:-1] == x[1:]))
-    y0, y1 = y[seg], y[seg + 1]
+    # Vertical segments cut into unit edges, which keep only their (row,
+    # column) key and their segment's index.
+    seg = np.flatnonzero(moves & vertical)
+    y0, y1, cols, seg_ring = y[seg], y[seg + 1], x[seg], step_ring[seg]
+    del point_ring, step_ring, moves, vertical, x, y
     span = np.abs(y1 - y0)
+    width = cols.max(initial=0) + 1
+    head = np.minimum(y0, y1) * width + cols  # each segment's least key
     first = np.cumsum(span) - span
     edge_seg = np.repeat(np.arange(len(seg)), span)
-    rows = np.minimum(y0, y1)[edge_seg] + (np.arange(len(edge_seg)) - first[edge_seg])
-    cols = x[seg][edge_seg]
-    width = cols.max(initial=0) + 1
-    keys = rows * width + cols
+    keys = head[edge_seg] + width * (np.arange(len(edge_seg)) - first[edge_seg])
     order = np.argsort(keys)
     keys = keys[order]
-    edge_ring = step_ring[seg][edge_seg][order]
-    downward = (y1 > y0)[edge_seg][order]
 
     holes = np.flatnonzero(twice_area > 0)
     top_left = np.full(n, np.iinfo(np.int64).max)
-    np.minimum.at(top_left, edge_ring, keys)
+    np.minimum.at(top_left, seg_ring, head)
     top_left = top_left[holes]
     left = np.searchsorted(keys, top_left) - 1
-    prev = np.maximum(left, 0)
-    found = (left >= 0) & (keys[prev] // width == top_left // width) & downward[prev]
+    at = np.maximum(left, 0)
+    prev = edge_seg[order[at]]
+    found = (left >= 0) & (keys[at] // width == top_left // width) & (y1[prev] > y0[prev])
     # Index n stands for "no owner" and owns itself, like every exterior.
     owner = np.arange(n + 1)
-    owner[holes] = np.where(found, edge_ring[prev], n)
+    owner[holes] = np.where(found, seg_ring[prev], n)
     while True:
         jumped = owner[owner]
         if np.array_equal(jumped, owner):

@@ -9,6 +9,7 @@ import io
 import json
 import math
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -53,6 +54,7 @@ from gridtrace import trace  # noqa: E402
 from gridtrace.cli import main  # noqa: E402
 from gridtrace.raster import _pbm_header  # noqa: E402
 from gridtrace.verify import pbm_header_bruteforce  # noqa: E402
+from test_rings import HOLE_1_AT_5_7, TALL_EXTERIOR  # noqa: E402
 from test_writers import NORTH_UP, ROTATED, reference_geojson, reference_wkt  # noqa: E402
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -400,3 +402,86 @@ def test_writers_read_the_grid_axes_as_they_read_distinct_values(raster, transfo
     polygons = assemble_polygons(grid)
     for write, *args in [(write_geojson,), (write_geojson, polygons), (write_wkt, polygons)]:
         assert _text_outcome(write, world, *args) == _text_outcome(write, copy, *args)
+
+
+
+# Hand-built library inputs far from the origin: each axis holds up to four
+# values within 2**e of each other, e up to 62, at up to 2**62 from 0.
+@st.composite
+def _axis(draw):
+    e = draw(st.integers(0, 62))
+    origin = draw(st.integers(-(2**62), 2**62 - 2**e))
+    return [origin + d for d in draw(st.lists(st.integers(0, 2**e), min_size=1, max_size=4))]
+
+
+@st.composite
+def far_inputs(draw):
+    """Corners on two drawn axes, as: an arena's four fields, with links
+    that form any permutation, one of them perhaps far out of range, and
+    entry corners that may run one past the vertices; a set of closed
+    orthogonal rings, each on m x and m y values of the axes, stepping
+    across and down in turn; and a grouping of polygons whose ring indices
+    may run one past the rings."""
+    xs, ys = draw(_axis()), draw(_axis())
+    n = draw(st.integers(0, 12))
+    corner = st.tuples(st.sampled_from(xs), st.sampled_from(ys))
+    points = draw(st.lists(corner, min_size=n, max_size=n))
+    nxt = draw(st.permutations(range(n)))
+    if n and draw(st.booleans()):
+        nxt[draw(st.integers(0, n - 1))] = draw(st.sampled_from([-1, n, 2**62]))
+    entries = draw(st.lists(st.integers(0, n), max_size=n))
+    fields = ([x for x, _ in points], [y for _, y in points], nxt, entries)
+    arena = tuple(np.array(f, np.int64) for f in fields)
+    rings = []
+    for _ in range(draw(st.integers(0, 5))):
+        m = draw(st.integers(1, 4))
+        cx = draw(st.lists(st.sampled_from(xs), min_size=m, max_size=m))
+        cy = draw(st.lists(st.sampled_from(ys), min_size=m, max_size=m))
+        ring = [p for i in range(m) for p in ((cx[i], cy[i]), (cx[(i + 1) % m], cy[i]))]
+        rings.append(ring + ring[:1])
+    members = st.lists(st.integers(0, len(rings)), min_size=1, max_size=3)
+    polygons = [Polygon(m[0], m[1:]) for m in draw(st.lists(members, max_size=4))]
+    return arena, RingSet.of(rings, np.int64), PolygonSet.of(polygons)
+
+
+def _traced(call, *args):
+    """call(*args), or None where it refuses its input with a documented
+    error, and the tracemalloc peak of the call in bytes either way."""
+    tracemalloc.start()
+    try:
+        return call(*args), tracemalloc.get_traced_memory()[1]
+    except (ValueError, RingTraversalError):
+        return None, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# Five points each: an assembler that cuts every row asks for 32 GiB.
+TALL = RingSet.of([TALL_EXTERIOR, HOLE_1_AT_5_7], np.int64)
+
+
+@PROPERTY
+@given(case=far_inputs())
+@example(case=((np.zeros(0, np.int64),) * 4, TALL, PolygonSet.of([Polygon(0, [1])])))
+def test_library_calls_allocate_in_proportion_to_their_input(case):
+    # Each call returns, or refuses its input with a documented error,
+    # inside a traced peak of 64 bytes per byte of the arrays it is given,
+    # plus 256 KiB for the interpreter's own objects.
+    arena, rings, polygons = case
+
+    def bounded(call, args, arrays):
+        result, peak = _traced(call, *args)
+        assert peak <= 64 * sum(a.nbytes for a in arrays) + 2**18, call.__name__
+        return result
+
+    bounded(assemble_polygons, [rings], [rings.coords, rings.offsets])
+    ring_sets = [rings]
+    delineation = bounded(Delineation, arena, arena)
+    if delineation is not None:
+        traced = bounded(form_rings, [delineation], arena)
+        if traced is not None:
+            ring_sets.append(traced[1])
+    for ring_set in ring_sets:
+        arrays = [ring_set.coords, ring_set.offsets, polygons.rings, polygons.offsets]
+        for write in (write_geojson, write_wkt):
+            bounded(write, [ring_set, polygons], arrays)

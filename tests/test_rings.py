@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 from itertools import count, islice
 from types import SimpleNamespace
 
@@ -563,13 +564,26 @@ class TestAssemblePolygons:
         with pytest.raises(ValueError, match="^grid rings hold float64 coordinates, not integers$"):
             assemble_polygons(RingSet(grid.coords.astype(float), grid.offsets))
 
+    def test_tall_sparse_rings_assemble_in_little_memory(self):
+        # Cut at every row, the exterior alone would make 2**32 unit edges;
+        # its ten points have four distinct rows.
+        rings = RingSet.of([TALL_EXTERIOR, HOLE_1_AT_5_7], np.int64)
+        tracemalloc.start()
+        try:
+            polygons = assemble_polygons(rings)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert list(polygons) == [Polygon(0, [1])]
+        assert peak < 2**20
+
 
 def assembly_outcome(assemble, grid_rings):
-    """The polygons, or the failing ring's index and error text."""
+    """The polygons, or the error's class, failing ring index and text."""
     try:
         return list(assemble(grid_rings))
-    except TopologyError as err:
-        return ("TopologyError", err.ring_index, str(err))
+    except ValueError as err:
+        return (type(err).__name__, getattr(err, "ring_index", None), str(err))
 
 
 SQUARE_10 = [(0, 0), (0, 10), (10, 10), (10, 0), (0, 0)]
@@ -583,6 +597,15 @@ FLAT = [(0, 0), (0, 1), (0, 0)]
 # edge is vertical and 2 long, so the midpoint of that edge is at y = 5.
 STEPPED_12 = [(0, 0), (0, 10), (10, 10), (10, 5), (12, 5), (12, 0), (0, 0)]
 HOLE_2_AT_4_FROM_THE_RIGHT = [(6, 4), (6, 6), (4, 6), (4, 4), (6, 4)]
+# Steps that are neither horizontal nor vertical, in a ring of its own and
+# in a hole of a square.
+DIAGONAL = [(0, 0), (2, 0), (1, 1), (0, 0)]
+SQUARE_4 = [(0, 0), (0, 4), (4, 4), (4, 0), (0, 0)]
+DIAGONAL_HOLE = [(1, 1), (3, 1), (2, 2), (1, 1)]
+# A 2**31 x (2**31 - 1) exterior and a one-pixel hole: rows far outnumber
+# points, so assembly ranks the rows.
+TALL_EXTERIOR = [(0, 0), (0, 2**31 - 1), (2**31, 2**31 - 1), (2**31, 0), (0, 0)]
+HOLE_1_AT_5_7 = [(5, 7), (6, 7), (6, 8), (5, 8), (5, 7)]
 
 
 class TestAssembleMatchesBruteforce:
@@ -602,6 +625,24 @@ class TestAssembleMatchesBruteforce:
                 mismatches.append((w, h, p, i))
         assert mismatches == []
 
+    def test_ring_starts_order_and_position_do_not_matter(self):
+        # Traced rings, each re-started at a random vertex and closed again,
+        # in random order and shifted by +-2**40 on each axis.
+        rng = np.random.Generator(np.random.PCG64(20261020))
+        mismatches = []
+        for i in range(200):
+            w, h = (int(v) for v in rng.integers(1, 33, 2))
+            grid, _ = form_rings(detect(bernoulli(w, h, rng.uniform(0.1, 0.9), 3_000_000 + i)))
+            shift = rng.choice([-(2**40), 2**40], 2)
+            rings = []
+            for k in rng.permutation(len(grid)):
+                ring = np.roll(grid[k][:-1], -rng.integers(len(grid[k]) - 1), axis=0)
+                rings.append(np.vstack([ring, ring[:1]]) + shift)
+            fast = assembly_outcome(assemble_polygons, rings)
+            if fast != assembly_outcome(assemble_polygons_bruteforce, rings):
+                mismatches.append((w, h, i))
+        assert mismatches == []
+
     @pytest.mark.parametrize(
         "rings",
         [
@@ -615,6 +656,13 @@ class TestAssembleMatchesBruteforce:
             pytest.param([], id="empty"),
             pytest.param(
                 [STEPPED_12, HOLE_2_AT_4_FROM_THE_RIGHT], id="hole-level-with-exterior-corner"
+            ),
+            pytest.param([DIAGONAL], id="diagonal-step"),
+            pytest.param([SQUARE_4, DIAGONAL_HOLE], id="diagonal-step-in-a-hole"),
+            pytest.param([TALL_EXTERIOR, HOLE_1_AT_5_7], id="tall-sparse"),
+            pytest.param(
+                [[(x, 1000 * y) for x, y in r] for r in (SQUARE_10, SQUARE_6_AT_2, HOLE_2_AT_4)],
+                id="nested-with-rows-stretched",
             ),
         ],
     )
