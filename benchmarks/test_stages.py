@@ -10,8 +10,11 @@ The masks are Bernoulli(0.5) noise at 128^2, 250^2, 500^2 and 1000^2,
 near the p where each stage costs most, and a 1500^2 mask of few large
 blocky regions, like a classifier's output, whose vertex count is small
 against its pixel count. A 3 x 100 000 mask marked all but one pixel is
-one exterior and one hole, ten ring points over 100 000 rows: assembly
-ranks its rows among the distinct ones before it cuts unit edges. From
+one exterior and one hole, ten ring points over 100 000 rows: cut at
+every row they would make 200 000 unit edges, so assembly ranks its rows
+among the distinct ones first. Assembly is also timed on a hand-built
+comb of 1000 hole-free 1 x 4999 rectangles, 5000 points that would cut
+into 10 million unit edges, which it ranks the same way. From
 250^2 to 1000^2 each stage shows its growth against the 16x in pixels,
 the pair of sizes whose ratio of whole-trace times the acceptance suite
 bounds. A 4^2 noise mask times what each stage
@@ -33,6 +36,7 @@ from gridtrace import (  # noqa: E402
     AffineTransform,
     BitRaster,
     Delineation,
+    RingSet,
     assemble_polygons,
     bernoulli,
     detect,
@@ -100,6 +104,16 @@ def test_form_rings(benchmark, stages):
 
 def test_assemble_polygons(benchmark, stages):
     benchmark(assemble_polygons, stages[2])
+
+
+@pytest.fixture(scope="module")
+def comb():
+    rect = [(0, 0), (0, 4999), (1, 4999), (1, 0), (0, 0)]
+    return RingSet.of([[(x + 2 * i, y) for x, y in rect] for i in range(1000)], np.int64)
+
+
+def test_assemble_comb(benchmark, comb):
+    benchmark(assemble_polygons, comb)
 
 
 def test_write_geojson(benchmark, stages):

@@ -380,7 +380,9 @@ def _twice_areas(coords: np.ndarray, offsets: np.ndarray) -> tuple[np.ndarray, .
     and every doubled area below 2*X*Y, so below 2**63 while X*Y < 2**62;
     a wider set raises ValueError naming its extent. A ring's doubled area
     is the difference of a running sum of cross products at its first and
-    last point, exact even where the running sum wraps.
+    last point, exact even where the running sum wraps. The cross products
+    are formed and summed in the running sum's own buffer, so beside the
+    moved columns only one more point-length array is held.
     """
     if not len(coords):
         return np.zeros(len(offsets) - 1, np.int64), *np.zeros((2, 0), np.int64)
@@ -397,7 +399,8 @@ def _twice_areas(coords: np.ndarray, offsets: np.ndarray) -> tuple[np.ndarray, .
     # the minimum, so their difference is right.
     x, y = (c.astype(np.int64, copy=False) - a.astype(np.int64) for c, a in zip(coords.T, lo))
     running = np.zeros(len(coords) + 1, np.int64)
-    np.cumsum(x[:-1] * y[1:] - x[1:] * y[:-1], out=running[1:-1])
+    cross = np.multiply(x[:-1], y[1:], out=running[1:-1])
+    np.cumsum(np.subtract(cross, x[1:] * y[:-1], out=cross), out=cross)
     first = offsets[:-1]
     return running[np.maximum(offsets[1:] - 1, first)] - running[first], x, y
 
@@ -434,11 +437,12 @@ def assemble_polygons(grid_rings) -> PolygonSet:
     downward (y increasing), and that segment's ring owns the hole. An
     owner that is itself a hole hands the hole on to its own owner; each
     hand-off moves to a strictly smaller key, so pointer jumping reaches an
-    exterior. Cost: O(P log P) in the vertical perimeter P, with arrays of
-    size O(P). A set whose rows span at least as many rows as it has
-    points first has each row replaced by its rank among the distinct
-    rows, which keeps their order, so P is then at most segments x
-    distinct rows, however far apart the rows lie.
+    exterior. Cost: O(P log P) in the unit edges P, with arrays of size
+    O(P). A set of N points whose segments would cut into more than 2N
+    unit edges first has each segment end's row replaced by its rank among
+    the distinct end rows, which keeps their order. So P is at most 2N
+    unranked and at most segments x distinct end rows ranked, however far
+    apart the rows lie.
 
     Returns a PolygonSet: exteriors in ring order, each followed by its
     holes in ascending ring order. Raises TopologyError for zero-area
@@ -475,11 +479,6 @@ def assemble_polygons(grid_rings) -> PolygonSet:
     if len(flat):
         i = int(flat[0])
         raise TopologyError(f"ring {i} has zero area", ring_index=i)
-    if y.max(initial=0) >= len(y):
-        # Ranks among the distinct rows keep the rows' order, so no owner
-        # changes, and a segment then cuts into fewer unit edges than there
-        # are points.
-        y = np.unique(y, return_inverse=True)[1]
 
     # Vertical segments cut into unit edges, which keep only their (row,
     # column) key and their segment's index.
@@ -487,6 +486,13 @@ def assemble_polygons(grid_rings) -> PolygonSet:
     y0, y1, cols, seg_ring = y[seg], y[seg + 1], x[seg], step_ring[seg]
     del point_ring, step_ring, moves, vertical, x, y
     span = np.abs(y1 - y0)
+    # In float64: a span may reach 2**62, so an int64 sum could wrap, and
+    # below 2**53 the float sum is exact.
+    if span.sum(dtype=np.float64) > 2 * len(rings.coords):
+        # Ranks among the segments' end rows keep the rows' order, so no
+        # owner changes, and the cut is then at most segments x end rows.
+        y0, y1 = np.unique(np.concatenate((y0, y1)), return_inverse=True)[1].reshape(2, -1)
+        span = np.abs(y1 - y0)
     width = cols.max(initial=0) + 1
     head = np.minimum(y0, y1) * width + cols  # each segment's least key
     first = np.cumsum(span) - span
@@ -506,11 +512,9 @@ def assemble_polygons(grid_rings) -> PolygonSet:
     # Index n stands for "no owner" and owns itself, like every exterior.
     owner = np.arange(n + 1)
     owner[holes] = np.where(found, seg_ring[prev], n)
-    while True:
-        jumped = owner[owner]
-        if np.array_equal(jumped, owner):
-            break
-        owner = jumped
+    jumped = owner[owner]
+    while not np.array_equal(jumped, owner):
+        owner, jumped = jumped, jumped[jumped]
 
     orphans = holes[owner[holes] == n]
     if len(orphans):

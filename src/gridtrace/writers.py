@@ -179,9 +179,11 @@ def _columns(rings: RingSet, index) -> list[tuple[np.ndarray, np.ndarray]]:
     `AffineTransform.apply` on (x, 0) and (0, y) gives the bits that
     `form_rings` gets from it on every corner: the same expressions in the
     same order, and b*y and d*x are one signed zero for all x, y >= 0.
-    Every other ring set, and an axis longer than its column or with a
-    non-finite value, takes the column's distinct values, told apart by
-    their bits in its own dtype so that -0.0 keeps its sign."""
+    Both ends of an axis are used positions, and the values between them
+    lie between theirs, so an axis holds a non-finite value only where a
+    position does. Every other ring set, and an axis longer than its
+    column, takes the column's distinct values, told apart by their bits
+    in its own dtype so that -0.0 keeps its sign."""
     source = rings._source
     if source is not None and source[1].b == 0 and source[1].d == 0 and len(source[0]):
         grid, t = source
@@ -189,11 +191,10 @@ def _columns(rings: RingSet, index) -> list[tuple[np.ndarray, np.ndarray]]:
         if all(0 <= lo and hi - lo < len(grid) for lo, hi in axes):
             (x0, x1), (y0, y1) = axes
             tables = t.apply(np.arange(x0, x1 + 1), 0)[0], t.apply(0, np.arange(y0, y1 + 1))[1]
-            if all(np.isfinite(v).all() for v in tables):
-                return [
-                    (v, np.subtract(col, lo, out=np.empty(len(col), index), casting="unsafe"))
-                    for v, col, (lo, _) in zip(tables, grid.T, axes)
-                ]
+            return [
+                (v, np.subtract(col, lo, out=np.empty(len(col), index), casting="unsafe"))
+                for v, col, (lo, _) in zip(tables, grid.T, axes)
+            ]
     return [_distinct(col, index) for col in rings.coords.T]
 
 

@@ -54,7 +54,7 @@ from gridtrace import trace  # noqa: E402
 from gridtrace.cli import main  # noqa: E402
 from gridtrace.raster import _pbm_header  # noqa: E402
 from gridtrace.verify import pbm_header_bruteforce  # noqa: E402
-from test_rings import HOLE_1_AT_5_7, TALL_EXTERIOR  # noqa: E402
+from test_rings import HOLE_1_AT_5_7, TALL_EXTERIOR, comb  # noqa: E402
 from test_writers import NORTH_UP, ROTATED, reference_geojson, reference_wkt  # noqa: E402
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -458,11 +458,15 @@ def _traced(call, *args):
 
 # Five points each: an assembler that cuts every row asks for 32 GiB.
 TALL = RingSet.of([TALL_EXTERIOR, HOLE_1_AT_5_7], np.int64)
+# 1500 points on fewer rows than points, which cut at every row into
+# 899 400 unit edges.
+COMB = RingSet.of(comb(300, 1499), np.int64)
 
 
 @PROPERTY
 @given(case=far_inputs())
 @example(case=((np.zeros(0, np.int64),) * 4, TALL, PolygonSet.of([Polygon(0, [1])])))
+@example(case=((np.zeros(0, np.int64),) * 4, COMB, PolygonSet.of(map(Polygon, range(300)))))
 def test_library_calls_allocate_in_proportion_to_their_input(case):
     # Each call returns, or refuses its input with a documented error,
     # inside a traced peak of 64 bytes per byte of the arrays it is given,

@@ -577,6 +577,19 @@ class TestAssemblePolygons:
         assert list(polygons) == [Polygon(0, [1])]
         assert peak < 2**20
 
+    def test_comb_of_tall_rectangles_assembles_in_little_memory(self):
+        # Cut at every row, the 1000 rectangles would make 10**7 unit edges
+        # from 5000 points; their ends lie on two rows.
+        rings = RingSet.of(comb(1000, 4999), np.int64)
+        tracemalloc.start()
+        try:
+            polygons = assemble_polygons(rings)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert list(polygons) == [Polygon(k, []) for k in range(1000)]
+        assert peak < 2**20
+
 
 def assembly_outcome(assemble, grid_rings):
     """The polygons, or the error's class, failing ring index and text."""
@@ -606,6 +619,18 @@ DIAGONAL_HOLE = [(1, 1), (3, 1), (2, 2), (1, 1)]
 # points, so assembly ranks the rows.
 TALL_EXTERIOR = [(0, 0), (0, 2**31 - 1), (2**31, 2**31 - 1), (2**31, 0), (0, 0)]
 HOLE_1_AT_5_7 = [(5, 7), (6, 7), (6, 8), (5, 8), (5, 7)]
+# Two unit squares 2**40 rows apart: four unit edges from ten points, so
+# assembly cuts them without ranking the rows.
+FAR_APART = [PIXEL_AT_0, [(x, y + 2**40) for x, y in PIXEL_AT_0]]
+
+
+def comb(teeth: int, height: int) -> list[list[tuple[int, int]]]:
+    """`teeth` exteriors of 1 x `height`, one column apart: cut at every
+    row, they make 2 * teeth * height unit edges from 5 * teeth points."""
+    return [
+        [(2 * i, 0), (2 * i, height), (2 * i + 1, height), (2 * i + 1, 0), (2 * i, 0)]
+        for i in range(teeth)
+    ]
 
 
 class TestAssembleMatchesBruteforce:
@@ -664,6 +689,8 @@ class TestAssembleMatchesBruteforce:
                 [[(x, 1000 * y) for x, y in r] for r in (SQUARE_10, SQUARE_6_AT_2, HOLE_2_AT_4)],
                 id="nested-with-rows-stretched",
             ),
+            pytest.param(comb(1000, 4999), id="comb"),
+            pytest.param(FAR_APART, id="short-rings-far-apart"),
         ],
     )
     def test_hand_built_rings(self, rings):
