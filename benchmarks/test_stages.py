@@ -120,5 +120,9 @@ def test_write_geojson(benchmark, stages):
     benchmark(write_geojson, stages[3], stages[4])
 
 
+def test_write_geojson_rings(benchmark, stages):
+    benchmark(write_geojson, stages[3])
+
+
 def test_write_wkt(benchmark, stages):
     benchmark(write_wkt, stages[3], stages[4])

@@ -228,14 +228,17 @@ def form_rings(
         d = Delineation(d.xs, d.ys, d.next_ids, d.corners)
     xs, ys, nxt, corners = d.xs, d.ys, d.next_ids, d.corners
     n, m = len(nxt), len(corners)
-    # Narrow indices halve the bytes every gather and scatter of the walk
-    # moves. Places in the closed buffer run to n plus the ring count.
-    index = np.int32 if n + m <= np.iinfo(np.int32).max else np.int64
-    if m and not (corners[1:] > corners[:-1]).all():
-        _, first = np.unique(corners, return_index=True)
-        corners = corners[np.sort(first)]
-    heads = corners.astype(index)
-    next_head, size, vertex, segment, place = _segments(nxt.astype(index), heads)
+    # The walk's own indices are intp (see `_segments`). What it stores per
+    # vertex or corner is int32 while places in the closed buffer (n plus
+    # the ring count) fit, and indexes as it is: an intp copy is fresh
+    # pages. At 1000^2 an intp store took the first `_segments` call from
+    # 24 to 38 ms, and intp copies for `take` added a third to page faults.
+    store = np.int32 if n + m < 2**31 else np.int64
+    heads = corners.astype(np.intp, copy=False)
+    if m and not (heads[1:] > heads[:-1]).all():
+        _, first = np.unique(heads, return_index=True)
+        heads = heads[np.sort(first)]
+    next_head, size, vertex, segment, dist = _segments(nxt, heads, store=store)
     if len(vertex) != n:
         left = np.ones(n, bool)
         left[vertex] = False
@@ -244,20 +247,21 @@ def form_rings(
             f"{n - len(vertex)} vertices unreachable from any entry corner;"
             f" the lowest is vertex {v} at ({xs[v]}, {ys[v]})"
         )
-    leader, offset = _rank(next_head, size)
+    leader, offset = _rank(next_head, size, store)
     # Ring k runs from its leader, the first-listed corner on it and the only
     # one at offset 0, round to a repeat of it; every corner's segment
     # starts at its offset from there.
     leaders = np.flatnonzero(offset == 0)
     offsets = np.zeros(len(leaders) + 1, np.int64)
     np.add.accumulate(np.bincount(leader, size)[leaders].astype(np.int64) + 1, out=offsets[1:])
-    start = np.empty(len(heads), index)
+    start = np.empty(len(heads), np.intp)
     start[leaders] = offsets[:-1]
-    place += (start[leader] + offset)[segment]
-    del next_head, size, leader, offset, start, segment
-    closed = np.empty(offsets[-1], index)
+    place = (start[leader] + offset)[segment]
+    place += dist
+    del next_head, size, leader, offset, start, segment, dist
+    closed = np.empty(offsets[-1], np.intp)  # both coordinate gathers read it
     closed[place] = vertex
-    closed[offsets[1:] - 1] = heads[leaders]
+    closed[offsets[1:] - 1] = closed[offsets[:-1]]
     del place, vertex
     grid = np.empty((len(closed), 2), np.int64)
     grid[:, 0] = xs[closed]
@@ -278,7 +282,7 @@ _SCALAR_BELOW = 64
 
 
 def _segments(
-    succ: np.ndarray, heads: np.ndarray, weight: np.ndarray | None = None
+    succ: np.ndarray, heads: np.ndarray, weight: np.ndarray | None = None, store=np.intp
 ) -> tuple[np.ndarray, ...]:
     """Cut the cycles of the permutation `succ` at the distinct `heads` into
     segments, each running from a head to just before the next head.
@@ -288,18 +292,23 @@ def _segments(
     element a head reaches, the heads first, is element[i], at the weighted
     distance dist[i] from the head of segment segment[i]. Element v weighs
     weight[v], or 1 without `weight`. Cycles without a head are left out.
+    Inputs may be any integers; total is intp, and next_head, element,
+    segment and dist are `store` integers.
     """
+    # Index operands are intp, and scattered values have their target's
+    # type: numpy gathers and scatters about twice as slowly otherwise.
+    # What the walk only stores, and the head ids it reads back, are `store`.
+    succ, heads = succ.astype(np.intp, copy=False), heads.astype(np.intp, copy=False)
     n, m = len(succ), len(heads)
-    index = succ.dtype
-    ids = np.arange(m, dtype=index)
-    head_id = np.full(n, -1, index)
-    head_id[heads] = ids
-    next_head, total = np.empty(m, index), np.empty(m, index)
-    element, segment, dist = np.empty(n, index), np.empty(n, index), np.empty(n, index)
+    ids = np.arange(m)
+    head_id = np.full(n, -1, store)
+    head_id[heads] = np.arange(m, dtype=store)
+    next_head, total = np.empty(m, store), np.empty(m, np.intp)
+    element, segment, dist = np.empty(n, store), np.empty(n, store), np.empty(n, store)
     element[:m], segment[:m], dist[:m] = heads, ids, 0
     # All walkers step at once; `walked` is the weight each has passed.
     cur, walker, end = heads, ids, m
-    walked = np.ones(m, index) if weight is None else weight[heads]
+    walked = np.ones(m, np.intp) if weight is None else weight[heads]
     while len(cur) >= _SCALAR_BELOW:
         cur = succ[cur]
         hid = head_id[cur]
@@ -318,7 +327,7 @@ def _segments(
     # Scalar tail: the last walkers step one element at a time and keep
     # only the elements, so a long segment costs no numpy call per element.
     # Walker w's run is tail[bounds[w]:bounds[w + 1]].
-    tail, bounds, ends = array.array(index.char), [0], []
+    tail, bounds, ends = array.array(np.dtype(store).char), [0], []
     links, heads_at = memoryview(succ), memoryview(head_id)
     for v in cur.tolist():
         v = links[v]
@@ -328,10 +337,10 @@ def _segments(
         bounds.append(len(tail))
         ends.append(heads_at[v])
     del head_id, heads_at, links
-    tail, bounds = np.frombuffer(tail, index), np.array(bounds, index)
-    passed = np.arange(len(tail) + 1, dtype=index)  # weight passed along the tail
+    tail, bounds = np.frombuffer(tail, store), np.array(bounds)
+    passed = np.arange(len(tail) + 1)  # weight passed along the tail
     if weight is not None:
-        np.add.accumulate(weight[tail], out=passed[1:])
+        np.add.accumulate(weight.take(tail), out=passed[1:])
     walked -= passed[bounds[:-1]]
     next_head[walker] = ends
     total[walker] = walked + passed[bounds[1:]]
@@ -342,10 +351,11 @@ def _segments(
     return next_head, total, element[: run.stop], segment[: run.stop], dist[: run.stop]
 
 
-def _rank(succ: np.ndarray, weight: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _rank(succ: np.ndarray, weight: np.ndarray, store=np.intp) -> tuple[np.ndarray, np.ndarray]:
     """Label every element of the permutation `succ` with its cycle's least
     element, its leader, and its offset: the weight from the leader up to
-    it, where element v weighs weight[v].
+    it, where element v weighs weight[v]. Returns both as intp; its walks
+    store `store` integers, as in `_segments`.
 
     Fixed points lead themselves, so a permutation that moves nothing is
     labelled at once. Otherwise the local minima (`v < succ[v]` and
@@ -354,20 +364,20 @@ def _rank(succ: np.ndarray, weight: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     weighted by their segments, are ranked the same way, down to one
     minimum per cycle.
     """
+    succ = succ.astype(np.intp, copy=False)
     m = len(succ)
-    index = succ.dtype
-    ids = np.arange(m, dtype=index)
-    leader, offset = ids.copy(), np.zeros(m, index)
+    ids = np.arange(m)
+    leader, offset = ids.copy(), np.zeros(m, np.intp)
     if (succ == ids).all():
         return leader, offset
     pred = np.empty_like(succ)
     pred[succ] = ids
-    minima = np.flatnonzero((ids < succ) & (ids < pred)).astype(index)
+    minima = np.flatnonzero((ids < succ) & (ids < pred))
     del pred
-    next_min, total, element, segment, dist = _segments(succ, minima, weight)
-    lead, off = _rank(next_min, total)
-    leader[element] = minima[lead][segment]
-    offset[element] = off[segment] + dist
+    next_min, total, element, segment, dist = _segments(succ, minima, weight, store)
+    lead, off = _rank(next_min, total, store)
+    leader[element] = minima[lead].take(segment)
+    offset[element] = off.take(segment) + dist
     return leader, offset
 
 

@@ -93,15 +93,18 @@ def _text(world_rings, polygons, numbers, position, collection, polygon, ring) -
     starts, ends = offsets[:-1], offsets[1:]
     closed = ends - starts >= 2
     full = np.flatnonzero(closed)
-    a, b = coords[starts[full]], coords[ends[full] - 1]
+    # Row takes and a test per column: fancy rows and `.all(axis=1)` cost more.
+    a, b = (np.take(coords, i, axis=0).T for i in (starts[full], ends[full] - 1))
     # Two NaN ends are equal here, so that such a ring is named as non-finite.
-    closed[full] = ((a == b) | (a != a) & (b != b)).all(axis=1)
+    same = (a == b) | (a != a) & (b != b)
+    closed[full] = same[0] & same[1]
     if not closed.all():
         raise ValueError(f"ring {np.argmin(closed)} is not closed (first position must equal last)")
     # Token codes run below 3N + 6, since no column has more than N token
-    # values, and positions index the N coordinates.
-    index = np.int32 if 3 * len(coords) + 6 <= np.iinfo(np.int32).max else np.int64
-    values, codes = zip(*_columns(rings, index))
+    # values, so they are int32 where that fits. Index operands are intp:
+    # numpy gathers and scatters by other integer types about half as fast.
+    store = np.int32 if 3 * len(coords) + 6 < 2**31 else np.int64
+    values, codes = zip(*_columns(rings, store))
     if not all(np.isfinite(v).all() for v in values):
         finite = np.isfinite(coords).all(axis=1)  # only the whole buffer names the ring
         k = np.searchsorted(offsets, np.argmin(finite), side="right") - 1
@@ -138,7 +141,7 @@ def _text(world_rings, polygons, numbers, position, collection, polygon, ring) -
     tail_at = np.cumsum(2 * lengths + 2) - 1
     head_at = tail_at - 2 * lengths - 1
     first = np.cumsum(lengths) - lengths
-    pieces = np.empty(tail_at[-1] + 1, index)
+    pieces = np.empty(tail_at[-1] + 1, store)
     pieces[head_at] = head_code
     pieces[head_at[groups[1:-1]]] += 1
     pieces[0] += 2
@@ -146,16 +149,22 @@ def _text(world_rings, polygons, numbers, position, collection, polygon, ring) -
     pieces[tail_at[groups[1:] - 1]] += 1
     pieces[-1] += 1
     # The index in the coordinates of every position, ring by ring.
-    src = np.repeat((offsets[members] - first).astype(index), lengths)
-    src += np.arange(len(src), dtype=index)
+    src = np.repeat((offsets[members] - first).astype(np.intp, copy=False), lengths)
+    src += np.arange(len(src))
+    # Each code column is dropped once gathered, so that src, the widest
+    # array here, is held beside one of them.
     x_of, y_of = codes
-    xy = np.empty((len(pieces) // 2 - len(members), 2), index)
-    xy[:, 0] = x_of[src]
-    xy[:, 0] += len(xs)
-    xy[first, 0] -= len(xs)
-    xy[:, 1] = y_of[src]
-    xy[:, 1] += 2 * len(xs)
-    del src, x_of, y_of, codes
+    del codes
+    x = x_of[src]
+    del x_of
+    y = y_of[src]
+    del y_of, src
+    x += len(xs)
+    x[first] -= len(xs)
+    y += 2 * len(xs)
+    xy = np.empty((len(x), 2), store)
+    xy[:, 0], xy[:, 1] = x, y
+    del x, y
     at = np.ones(len(pieces), bool)
     at[head_at] = at[tail_at] = False
     pieces[at] = xy.ravel()
@@ -167,9 +176,9 @@ def _text(world_rings, polygons, numbers, position, collection, polygon, ring) -
     return "".join(pieces)
 
 
-def _columns(rings: RingSet, index) -> list[tuple[np.ndarray, np.ndarray]]:
+def _columns(rings: RingSet, store) -> list[tuple[np.ndarray, np.ndarray]]:
     """Each coordinate column's token values and every position's code
-    into them, as `index` integers.
+    into them, as `store` integers.
 
     World rings that `form_rings` made through a north-up transform (b and
     d zero, of either sign) from grid corners >= 0 read their values off
@@ -192,15 +201,15 @@ def _columns(rings: RingSet, index) -> list[tuple[np.ndarray, np.ndarray]]:
             (x0, x1), (y0, y1) = axes
             tables = t.apply(np.arange(x0, x1 + 1), 0)[0], t.apply(0, np.arange(y0, y1 + 1))[1]
             return [
-                (v, np.subtract(col, lo, out=np.empty(len(col), index), casting="unsafe"))
+                (v, np.subtract(col, lo, out=np.empty(len(col), store), casting="unsafe"))
                 for v, col, (lo, _) in zip(tables, grid.T, axes)
             ]
-    return [_distinct(col, index) for col in rings.coords.T]
+    return [_distinct(col, store) for col in rings.coords.T]
 
 
-def _distinct(col: np.ndarray, index) -> tuple[np.ndarray, np.ndarray]:
+def _distinct(col: np.ndarray, store) -> tuple[np.ndarray, np.ndarray]:
     keys, inverse = np.unique(col.view(f"i{col.itemsize}"), return_inverse=True)
-    return keys.view(col.dtype), inverse.astype(index)
+    return keys.view(col.dtype), inverse.astype(store)
 
 
 def _json_numbers(values: list) -> list[str]:

@@ -1,6 +1,6 @@
 import re
 import tracemalloc
-from itertools import count, islice
+from itertools import count, islice, product
 from types import SimpleNamespace
 
 import numpy as np
@@ -22,7 +22,7 @@ from gridtrace import (
     form_rings,
     signed_area,
 )
-from gridtrace.rings import _SCALAR_BELOW
+from gridtrace.rings import _SCALAR_BELOW, _rank, _segments
 from gridtrace.verify import assemble_polygons_bruteforce
 
 
@@ -249,6 +249,77 @@ def test_walker_count_at_the_scalar_hand_off_matches_the_per_vertex_walk(walkers
     # arrive, and the rest go on one element at a time; below it, all do.
     fast, oracle = walk_outcomes(zigzag_ring(walkers))
     assert fast == oracle
+
+
+def walk_inputs():
+    """(succ, heads, weight) cases for `_segments`: random permutations cut
+    at random heads, weighted and not, and the zigzag rings around the
+    scalar hand-off, whose corners `_rank` ranks with that many walkers."""
+    rng = np.random.default_rng(21)
+    cases = {}
+    for n in (1, 9, 300, 5000):
+        heads = rng.choice(n, size=max(1, n // 4), replace=False)
+        cases[f"permutation-{n}"] = rng.permutation(n), heads, None
+        cases[f"weighted-{n}"] = rng.permutation(n), heads, rng.integers(1, 8, n)
+    for walkers in (_SCALAR_BELOW - 1, _SCALAR_BELOW, _SCALAR_BELOW + 1):
+        d = zigzag_ring(walkers)
+        cases[f"zigzag-{walkers}"] = d.next_ids, d.corners, None
+    return cases
+
+
+WALK_INPUTS = walk_inputs()
+
+
+@pytest.mark.parametrize("case", list(WALK_INPUTS))
+def test_walk_reads_int32_int64_and_mixed_indices_alike(case):
+    # form_rings stores the walk in int64 only past 2**31 places, which no
+    # test reaches, so both stores are run here on every mix of input types.
+    succ, heads, weight = WALK_INPUTS[case]
+    outcomes = set()
+    for store, (s, h, w) in product((np.int32, np.int64), product((np.int32, np.int64), repeat=3)):
+        segments = _segments(
+            succ.astype(s), heads.astype(h), None if weight is None else weight.astype(w), store
+        )
+        next_head, total = segments[:2]
+        ranks = _rank(next_head.astype(s), total.astype(w), store)
+        dtypes = [a.dtype for a in (*segments, *ranks)]
+        assert dtypes == [store, np.intp, store, store, store, np.intp, np.intp]
+        outcomes.add(tuple(tuple(a.tolist()) for a in (*segments, *ranks)))
+    assert len(outcomes) == 1
+    next_head, total, element, segment, dist, leader, offset = outcomes.pop()
+    assert (next_head, total, dict(zip(element, zip(segment, dist)))) == segments_one_at_a_time(
+        succ.tolist(), heads.tolist(), None if weight is None else weight.tolist()
+    )
+    assert (leader, offset) == ranks_one_at_a_time(next_head, total)
+
+
+def segments_one_at_a_time(succ, heads, weight):
+    """`_segments`' next_head and total, and each element's (segment,
+    dist), from walking one segment at a time."""
+    head_id = {h: k for k, h in enumerate(heads)}
+    next_head, total, place = [], [], {}
+    for k, v in enumerate(heads):
+        passed = 0
+        while not (passed and v in head_id):
+            place[v] = (k, passed)
+            passed += 1 if weight is None else weight[v]
+            v = succ[v]
+        next_head.append(head_id[v])
+        total.append(passed)
+    return tuple(next_head), tuple(total), place
+
+
+def ranks_one_at_a_time(succ, weight):
+    """`_rank`'s leader and offset, from walking each cycle from its least
+    element."""
+    leader, offset = [None] * len(succ), [0] * len(succ)
+    for least in range(len(succ)):
+        v, passed = least, 0
+        while leader[v] is None:
+            leader[v], offset[v] = least, passed
+            passed += weight[v]
+            v = succ[v]
+    return tuple(leader), tuple(offset)
 
 
 class TestRingSet:
