@@ -9,8 +9,11 @@ run does not collect it.
 The masks are Bernoulli(0.5) noise at 128^2, 250^2, 500^2 and 1000^2,
 near the p where each stage costs most, and a 1500^2 mask of few large
 blocky regions, like a classifier's output, whose vertex count is small
-against its pixel count. A 3 x 100 000 mask marked all but one pixel is
-one exterior and one hole, ten ring points over 100 000 rows: cut at
+against its pixel count. Assembly's owner search works per hole, and
+p=0.5 noise has few holes (3 411 at 1000^2), so a 1000^2 mask at p=0.7,
+with 46 682 holes, times it where holes are many. A 3 x 100 000 mask
+marked all but one pixel is one exterior and one hole, ten ring points
+over 100 000 rows: cut at
 every row they would make 200 000 unit edges, so assembly ranks its rows
 among the distinct ones first. Assembly is also timed on a hand-built
 comb of 1000 hole-free 1 x 4999 rectangles, 5000 points that would cut
@@ -69,6 +72,7 @@ MASKS = {
     "noise-250": lambda: bernoulli(250, 250, 0.5, 1),
     "noise-500": lambda: bernoulli(500, 500, 0.5, 1),
     "noise-1000": lambda: bernoulli(1000, 1000, 0.5, 1),
+    "holes-1000": lambda: bernoulli(1000, 1000, 0.7, 1),
     "blocks-1500": lambda: blocks(1500, 30, 1),
     "tall-3": lambda: tall(100_000),
 }

@@ -36,9 +36,12 @@ clockwise hole winding in world coordinates.
 Polygon assembly gives every hole its parent border in one scan, after
 Suzuki & Abe (CVGIP 30(1), 1985): the unit edge just left of a hole's
 top-left edge belongs to the exterior that owns it or to another of that
-exterior's holes. The vertical segments are the one table; a unit edge
-keeps only its key and its segment's index. Sorting the keys once makes
-this O(P log P) in the vertical perimeter P. The polygons come out as a
+exterior's holes. The vertical segments are the one table: each ring's
+segments are one run of it, found by one searchsorted of the offsets; a
+ring's area is the sum of x * dy over them (Green's theorem, so rings
+must be closed); and a unit edge keeps only its key and its segment's
+index. Sorting the keys once makes this O(P log P) in the vertical
+perimeter P. The polygons come out as a
 `PolygonSet` in GeoArrow's polygon layout: one array of ring indices, each
 polygon's outer ring first and its holes after it, cut into polygons by an
 offsets array. One `np.lexsort` of the rings by owning exterior puts them
@@ -381,21 +384,16 @@ def _rank(succ: np.ndarray, weight: np.ndarray, store=np.intp) -> tuple[np.ndarr
     return leader, offset
 
 
-def _twice_areas(coords: np.ndarray, offsets: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Twice the signed area of every ring coords[offsets[k]:offsets[k + 1]]
-    of integer corners, exact in int64, and the x and y columns moved to
-    start at 0, which changes no area.
+def _origin(coords: np.ndarray) -> list[np.int64]:
+    """The least x and the least y of (N, 2) integer corners, N > 0, as
+    int64.
 
-    Once moved, a set of extent X x Y keeps every cross product below X*Y
-    and every doubled area below 2*X*Y, so below 2**63 while X*Y < 2**62;
-    a wider set raises ValueError naming its extent. A ring's doubled area
-    is the difference of a running sum of cross products at its first and
-    last point, exact even where the running sum wraps. The cross products
-    are formed and summed in the running sum's own buffer, so beside the
-    moved columns only one more point-length array is held.
+    Once moved to start there, a set of extent X x Y keeps every cross
+    product below X*Y and every doubled area below 2*X*Y, so below 2**63
+    while X*Y < 2**62; a wider set raises ValueError naming its extent.
+    Read as int64, a uint64 corner at or above 2**63 wraps, and so does
+    the minimum, so their difference is right.
     """
-    if not len(coords):
-        return np.zeros(len(offsets) - 1, np.int64), *np.zeros((2, 0), np.int64)
     # Per column: a reduction over axis 0 of an (N, 2) buffer is many
     # times slower.
     lo, hi = [c.min() for c in coords.T], [c.max() for c in coords.T]
@@ -405,32 +403,25 @@ def _twice_areas(coords: np.ndarray, offsets: np.ndarray) -> tuple[np.ndarray, .
             f"grid rings span {width} x {height} corners; exact int64 areas"
             " need width x height below 2**62"
         )
-    # Read as int64, a uint64 corner at or above 2**63 wraps, and so does
-    # the minimum, so their difference is right.
-    x, y = (c.astype(np.int64, copy=False) - a.astype(np.int64) for c, a in zip(coords.T, lo))
-    running = np.zeros(len(coords) + 1, np.int64)
-    cross = np.multiply(x[:-1], y[1:], out=running[1:-1])
-    np.cumsum(np.subtract(cross, x[1:] * y[:-1], out=cross), out=cross)
-    first = offsets[:-1]
-    return running[np.maximum(offsets[1:] - 1, first)] - running[first], x, y
+    return [a.astype(np.int64) for a in lo]
 
 
 def signed_area(ring) -> float:
     """Shoelace signed area of a closed ring (y-down grid axes).
 
     Negative for outer rings, positive for holes. On bool or integer
-    corners the doubled area is summed exactly, as in `assemble_polygons`,
-    and halved into the nearest float; a ring of extent X by Y with
-    X*Y >= 2**62 raises ValueError. Float rings are summed in float64.
+    corners the doubled area is summed exactly in int64 on corners moved
+    by the ring's minimum, and halved into the nearest float; a ring of
+    extent X by Y with X*Y >= 2**62 raises ValueError. Float rings are
+    summed in float64.
     """
     r = np.asarray(ring)
     if len(r) < 2:
         return 0.0
-    if r.dtype.kind in "biu":
-        return int(_twice_areas(r, np.array([0, len(r)]))[0][0]) / 2
     x, y = r[:, 0], r[:, 1]
-    cross = x[:-1] * y[1:] - x[1:] * y[:-1]
-    return float(cross.sum()) / 2
+    if r.dtype.kind in "biu":
+        x, y = (c.astype(np.int64) - a for c, a in zip(r.T, _origin(r)))
+    return float((x[:-1] * y[1:] - x[1:] * y[:-1]).sum()) / 2
 
 
 def assemble_polygons(grid_rings) -> PolygonSet:
@@ -438,67 +429,91 @@ def assemble_polygons(grid_rings) -> PolygonSet:
     positive-area rings attach as holes of the exterior of the region that
     surrounds them.
 
-    One scanline pass finds every hole's owner. The rings' vertical
-    segments are cut into unit edges, each holding only its (row, column)
-    key and its segment's index, and the keys are sorted once. A hole's
-    smallest key, the least top edge of its segments, is its top row's
-    leftmost edge; the nearest unit edge strictly to its left in that row
-    bounds the marked run around the hole, so its segment must run
-    downward (y increasing), and that segment's ring owns the hole. An
-    owner that is itself a hole hands the hole on to its own owner; each
-    hand-off moves to a strictly smaller key, so pointer jumping reaches an
-    exterior. Cost: O(P log P) in the unit edges P, with arrays of size
-    O(P). A set of N points whose segments would cut into more than 2N
-    unit edges first has each segment end's row replaced by its rank among
-    the distinct end rows, which keeps their order. So P is at most 2N
-    unranked and at most segments x distinct end rows ranked, however far
-    apart the rows lie.
+    Everything after the step checks is read off one table, the rings'
+    vertical segments, with ring k's segments a run found by one
+    searchsorted of the ring offsets. By Green's theorem a closed ring's
+    doubled shoelace area is twice the sum of x * dy over its vertical
+    segments, taken as differences of one running sum. One scanline pass
+    then finds every hole's owner. The segments are cut into unit edges,
+    each holding only its (row, column) key and its segment's index, and
+    the keys are sorted once. A hole's smallest key, the least top edge of
+    its segments, is its top row's leftmost edge; the nearest unit edge
+    strictly to its left in that row bounds the marked run around the
+    hole, so its segment must run downward (y increasing), and that
+    segment's ring owns the hole. An owner that is itself a hole hands the
+    hole on to its own owner; each hand-off moves to a strictly smaller
+    key, so pointer jumping reaches an exterior. Cost: O(P log P) in the
+    unit edges P, with arrays of size O(P). A set of N points whose
+    segments would cut into more than 2N unit edges first has each
+    segment end's row replaced by its rank among the distinct end rows,
+    which keeps their order. So P is at most 2N unranked and at most
+    segments x distinct end rows ranked, however far apart the rows lie.
 
     Returns a PolygonSet: exteriors in ring order, each followed by its
-    holes in ascending ring order. Raises TopologyError for zero-area
-    rings (the lowest index is reported) and for holes that no exterior
-    surrounds. Bool and integer coordinates are read as int64, and areas
-    are summed exactly in int64 on corners moved by the set's minimum, so
-    a set far from the origin assembles as it would near it. Raises
-    ValueError, before any TopologyError, for float coordinates; then for
-    a step that is neither horizontal nor vertical, naming the lowest ring
-    with one and the corners of its first such step; then for a set of
-    extent X by Y (maximum less minimum on each axis) with X*Y >= 2**62:
-    below that, every doubled area and every unit-edge key (row * width +
-    column, width at most X + 1) fits in int64.
+    holes in ascending ring order. Bool and integer coordinates are read
+    as int64, and areas are summed exactly in int64 on corners moved by
+    the set's minimum, so a set far from the origin assembles as it would
+    near it. Raises, in this order: ValueError for float coordinates; then
+    for a ring of two or more points whose last corner is not its first,
+    naming the lowest such ring and both corners; then for a step that is
+    neither horizontal nor vertical, naming the lowest ring with one and
+    the corners of its first such step; then for a set of extent X by Y
+    (maximum less minimum on each axis) with X*Y >= 2**62: below that,
+    every doubled area and every unit-edge key (row * width + column,
+    width at most X + 1) fits in int64. Then TopologyError for the
+    lowest-index zero-area ring, which every ring of fewer than two points
+    is, and for the lowest-index hole that no exterior surrounds.
     """
     rings = RingSet.of(grid_rings, np.int64)
-    if rings.coords.dtype.kind == "f":
-        raise ValueError(f"grid rings hold {rings.coords.dtype} coordinates, not integers")
-    n = len(rings)
-    point_ring = np.repeat(np.arange(n), np.diff(rings.offsets))
-    # Steps between consecutive points that change row, less those that
-    # join one ring's last point to the next ring's first.
-    step_ring = point_ring[:-1]
-    x, y = rings.coords.T
+    coords, offsets, n = rings.coords, rings.offsets, len(rings)
+    if coords.dtype.kind == "f":
+        raise ValueError(f"grid rings hold {coords.dtype} coordinates, not integers")
+    x, y = coords.T
+    # Green's theorem gives the area of closed rings only.
+    long = (offsets[1:] - offsets[:-1] > 1).nonzero()[0]  # rings of two or more points
+    i, j = offsets[long], offsets[long + 1] - 1
+    unclosed = (coords.take(i, axis=0) != coords.take(j, axis=0)).nonzero()[0]
+    if len(unclosed):
+        u = unclosed[0]
+        a, b = (tuple(p) for p in coords[[i[u], j[u]]].tolist())
+        raise ValueError(f"ring {long[u]} is not closed: it starts at {a} but ends at {b}")
+    # Step i joins points i and i + 1 of one ring unless point i + 1
+    # starts a ring.
+    inner = np.ones(len(coords) + 1, bool)
+    inner[offsets] = False
     vertical = x[:-1] == x[1:]
-    moves = (step_ring == point_ring[1:]) & (y[:-1] != y[1:])
-    diagonal = np.flatnonzero(moves & ~vertical)
+    moves = inner[1:-1] & (y[:-1] != y[1:])
+    diagonal = (moves & ~vertical).nonzero()[0]
     if len(diagonal):
         i = diagonal[0]
-        a, b = (tuple(p) for p in rings.coords[i : i + 2].tolist())
-        raise ValueError(f"ring {step_ring[i]} steps diagonally from {a} to {b}")
-    # Shifted to start at 0: areas, keys and directions do not change.
-    twice_area, x, y = _twice_areas(rings.coords, rings.offsets)
-    flat = np.flatnonzero(twice_area == 0)
+        a, b = (tuple(p) for p in coords[i : i + 2].tolist())
+        k = offsets.searchsorted(i, side="right") - 1
+        raise ValueError(f"ring {k} steps diagonally from {a} to {b}")
+    seg = (moves & vertical).nonzero()[0]
+    # The one table: each vertical segment's column and end rows (y[1:][seg]
+    # is y[seg + 1]), moved to start at 0, which changes no area, key or
+    # direction.
+    ox, oy = _origin(coords) if len(coords) else (0, 0)
+    cols = x[seg].astype(np.int64, copy=False) - ox
+    y0, y1 = (c[seg].astype(np.int64, copy=False) - oy for c in (y, y[1:]))
+    bounds = seg.searchsorted(offsets)  # ring k's are seg[bounds[k]:bounds[k + 1]]
+    # By Green's theorem, as differences of a running sum at the bounds:
+    # exact even where the running sum wraps.
+    dy = y1 - y0
+    running = np.append(0, np.cumsum(cols * dy))
+    twice_area = 2 * np.diff(running[bounds])
+    del inner, vertical, moves, seg, running
+    flat = (twice_area == 0).nonzero()[0]
     if len(flat):
         i = int(flat[0])
         raise TopologyError(f"ring {i} has zero area", ring_index=i)
 
     # Vertical segments cut into unit edges, which keep only their (row,
     # column) key and their segment's index.
-    seg = np.flatnonzero(moves & vertical)
-    y0, y1, cols, seg_ring = y[seg], y[seg + 1], x[seg], step_ring[seg]
-    del point_ring, step_ring, moves, vertical, x, y
-    span = np.abs(y1 - y0)
+    span = np.abs(dy, out=dy)
     # In float64: a span may reach 2**62, so an int64 sum could wrap, and
     # below 2**53 the float sum is exact.
-    if span.sum(dtype=np.float64) > 2 * len(rings.coords):
+    if span.sum(dtype=np.float64) > 2 * len(coords):
         # Ranks among the segments' end rows keep the rows' order, so no
         # owner changes, and the cut is then at most segments x end rows.
         y0, y1 = np.unique(np.concatenate((y0, y1)), return_inverse=True)[1].reshape(2, -1)
@@ -506,22 +521,23 @@ def assemble_polygons(grid_rings) -> PolygonSet:
     width = cols.max(initial=0) + 1
     head = np.minimum(y0, y1) * width + cols  # each segment's least key
     first = np.cumsum(span) - span
-    edge_seg = np.repeat(np.arange(len(seg)), span)
-    keys = head[edge_seg] + width * (np.arange(len(edge_seg)) - first[edge_seg])
+    edge_seg = np.repeat(np.arange(len(span)), span)
+    # Unit edge e of segment s has key head[s] + width * (e - first[s]),
+    # exact though the terms may wrap, since the key fits in int64.
+    keys = (head - width * first)[edge_seg] + width * np.arange(len(edge_seg))
     order = np.argsort(keys)
     keys = keys[order]
 
-    holes = np.flatnonzero(twice_area > 0)
-    top_left = np.full(n, np.iinfo(np.int64).max)
-    np.minimum.at(top_left, seg_ring, head)
-    top_left = top_left[holes]
-    left = np.searchsorted(keys, top_left) - 1
+    # Every ring left has segments, so each run of them is non-empty.
+    holes = (twice_area > 0).nonzero()[0]
+    top_left = np.minimum.reduceat(head, bounds[:-1])[holes]
+    left = keys.searchsorted(top_left) - 1
     at = np.maximum(left, 0)
     prev = edge_seg[order[at]]
     found = (left >= 0) & (keys[at] // width == top_left // width) & (y1[prev] > y0[prev])
     # Index n stands for "no owner" and owns itself, like every exterior.
     owner = np.arange(n + 1)
-    owner[holes] = np.where(found, seg_ring[prev], n)
+    owner[holes] = np.where(found, bounds.searchsorted(prev, side="right") - 1, n)
     jumped = owner[owner]
     while not np.array_equal(jumped, owner):
         owner, jumped = jumped, jumped[jumped]
@@ -536,5 +552,5 @@ def assemble_polygons(grid_rings) -> PolygonSet:
     # Every exterior owns itself. Sorted by owner, exterior first, and then
     # stably by ring index, polygon k is exterior k and then its holes.
     members = np.lexsort((twice_area > 0, owner[:n]))
-    offsets = np.append(np.flatnonzero(twice_area[members] < 0), n)
+    offsets = np.append((twice_area[members] < 0).nonzero()[0], n)
     return PolygonSet(members, offsets)

@@ -180,12 +180,18 @@ def assemble_polygons_bruteforce(grid_rings) -> list[Polygon]:
     and clear of every boundary. All arithmetic is on Python ints, with
     corners scaled by 4 so that the test point is a lattice point, so
     rings assemble exactly at any magnitude. O(holes x exteriors). Raises
-    like the fast path: ValueError for the lowest-index ring with a step
-    that is neither horizontal nor vertical, naming that step's corners;
-    then TopologyError for the lowest-index zero-area ring, then for the
-    lowest-index hole no exterior contains.
+    like the fast path: ValueError for the lowest-index ring of two or
+    more points whose last corner is not its first, naming both; then for
+    the lowest-index ring with a step that is neither horizontal nor
+    vertical, naming that step's corners; then TopologyError for the
+    lowest-index zero-area ring, then for the lowest-index hole no
+    exterior contains.
     """
     rings = [np.asarray(r).tolist() for r in grid_rings]
+    for k, ring in enumerate(rings):
+        if len(ring) > 1 and ring[0] != ring[-1]:
+            a, b = tuple(ring[0]), tuple(ring[-1])
+            raise ValueError(f"ring {k} is not closed: it starts at {a} but ends at {b}")
     for k, ring in enumerate(rings):
         for a, b in zip(ring, ring[1:]):
             if a[0] != b[0] and a[1] != b[1]:

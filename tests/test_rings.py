@@ -23,7 +23,7 @@ from gridtrace import (
     signed_area,
 )
 from gridtrace.rings import _SCALAR_BELOW, _rank, _segments
-from gridtrace.verify import assemble_polygons_bruteforce
+from gridtrace.verify import assemble_polygons_bruteforce, unit_edges
 
 
 def rings_of(rows, **kwargs):
@@ -693,6 +693,26 @@ HOLE_1_AT_5_7 = [(5, 7), (6, 7), (6, 8), (5, 8), (5, 7)]
 # Two unit squares 2**40 rows apart: four unit edges from ten points, so
 # assembly cuts them without ranking the rows.
 FAR_APART = [PIXEL_AT_0, [(x, y + 2**40) for x, y in PIXEL_AT_0]]
+# A square with its closing corner left off, then a unit exterior. Read as
+# a hole, its area depends on where the set lies; the scanline found it no
+# owner while the containment test put it in the exterior.
+OPEN_SQUARE = [[(0, 0), (2, 0), (2, 2), (0, 2)], PIXEL_AT_0]
+
+
+def orthogonal_ring(rng, points: int, closed: bool) -> list[tuple[int, int]]:
+    """`points` corners on a 5 x 5 grid, each a horizontal or a vertical
+    step (maybe of length 0) from the one before. A closed ring turns
+    back to its first corner through a vertical and then a horizontal
+    step; an open one ends wherever its walk does."""
+    x, y = (int(v) for v in rng.integers(0, 5, 2))
+    ring = [(x, y)]
+    for _ in range(points - 3 if closed else points - 1):
+        if rng.integers(2):
+            x = int(rng.integers(0, 5))
+        else:
+            y = int(rng.integers(0, 5))
+        ring.append((x, y))
+    return ring + [(x, ring[0][1]), ring[0]] if closed else ring
 
 
 def comb(teeth: int, height: int) -> list[list[tuple[int, int]]]:
@@ -739,6 +759,58 @@ class TestAssembleMatchesBruteforce:
                 mismatches.append((w, h, i))
         assert mismatches == []
 
+    def test_small_orthogonal_ring_sets_open_or_closed(self):
+        # One or two rings of 3 to 6 corners, each left open half the time.
+        # Closed sets that run along some unit edge twice are left out:
+        # their rings bound no region that the containment test can read,
+        # and on such a set the two may part.
+        rng = np.random.Generator(np.random.PCG64(20261022))
+        compared, mismatches = 0, []
+        for i in range(3000):
+            rings = [
+                orthogonal_ring(rng, int(rng.integers(3, 7)), bool(rng.integers(2)))
+                for _ in range(int(rng.integers(1, 3)))
+            ]
+            edges = unit_edges(rings)
+            if all(r[0] == r[-1] for r in rings) and len(set(edges)) < len(edges):
+                continue
+            compared += 1
+            fast = assembly_outcome(assemble_polygons, rings)
+            if fast != assembly_outcome(assemble_polygons_bruteforce, rings):
+                mismatches.append((i, rings))
+        assert mismatches == []
+        assert compared > 2000
+
+    @pytest.mark.parametrize("assemble", [assemble_polygons, assemble_polygons_bruteforce])
+    @pytest.mark.parametrize(
+        "rings,message",
+        [
+            ([[(0, 0), (0, 1)]], "ring 0 is not closed: it starts at (0, 0) but ends at (0, 1)"),
+            (
+                [SQUARE_10, HOLE_2_AT_4[:-1]],
+                "ring 1 is not closed: it starts at (4, 4) but ends at (4, 6)",
+            ),
+            # Refused before the diagonal step of ring 0 and the flat ring 1.
+            (
+                [DIAGONAL, FLAT, [(1, 1), (1, 2), (2, 2)]],
+                "ring 2 is not closed: it starts at (1, 1) but ends at (2, 2)",
+            ),
+        ],
+        ids=["two-points", "hole", "before-other-errors"],
+    )
+    def test_open_ring_is_refused(self, assemble, rings, message):
+        with pytest.raises(ValueError) as err:
+            assemble(rings)
+        assert type(err.value) is ValueError
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("assemble", [assemble_polygons, assemble_polygons_bruteforce])
+    @pytest.mark.parametrize("ring", [[], [(3, 4)]], ids=["empty", "one-point"])
+    def test_rings_of_fewer_than_two_points_have_zero_area(self, assemble, ring):
+        with pytest.raises(TopologyError, match="^ring 1 has zero area$") as err:
+            assemble([PIXEL_AT_0, ring, FLAT])
+        assert err.value.ring_index == 1
+
     @pytest.mark.parametrize(
         "rings",
         [
@@ -762,6 +834,8 @@ class TestAssembleMatchesBruteforce:
             ),
             pytest.param(comb(1000, 4999), id="comb"),
             pytest.param(FAR_APART, id="short-rings-far-apart"),
+            pytest.param(OPEN_SQUARE, id="open-square"),
+            pytest.param([SQUARE_10, HOLE_2_AT_4[:-1]], id="open-hole-in-a-square"),
         ],
     )
     def test_hand_built_rings(self, rings):
