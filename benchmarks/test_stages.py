@@ -11,11 +11,13 @@ near the p where each stage costs most, and a 1500^2 mask of few large
 blocky regions, like a classifier's output, whose vertex count is small
 against its pixel count. Assembly's owner search works per hole, and
 p=0.5 noise has few holes (3 411 at 1000^2), so a 1000^2 mask at p=0.7,
-with 46 682 holes, times it where holes are many. A 3 x 100 000 mask
-marked all but one pixel is one exterior and one hole, ten ring points
-over 100 000 rows: cut at
-every row they would make 200 000 unit edges, so assembly ranks its rows
-among the distinct ones first. Assembly is also timed on a hand-built
+with 46 682 holes, times it where holes are many. Traced rings are
+assembled from the pixels they came from. A copy of the buffers of the
+rings of those two 1000^2 masks, and of a 3 x 100 000 mask, times the
+general path, which hand-built rings take. The tall mask is marked all
+but one pixel: one exterior and one hole, ten ring points over 100 000
+rows. Cut at every row they would make 200 000 unit edges, so the
+general path ranks its rows among the distinct ones first. Assembly is also timed on a hand-built
 comb of 1000 hole-free 1 x 4999 rectangles, 5000 points that would cut
 into 10 million unit edges, which it ranks the same way. From
 250^2 to 1000^2 each stage shows its growth against the 16x in pixels,
@@ -108,6 +110,18 @@ def test_form_rings(benchmark, stages):
 
 def test_assemble_polygons(benchmark, stages):
     benchmark(assemble_polygons, stages[2])
+
+
+@pytest.fixture(scope="module", params=["noise-1000", "holes-1000", "tall-3"])
+def rebuilt(request):
+    """A copy of the buffers of one mask's grid rings, which keeps no record
+    of the pixels they were traced from."""
+    grid, _ = form_rings(detect(MASKS[request.param]()))
+    return RingSet(grid.coords, grid.offsets)
+
+
+def test_assemble_rebuilt(benchmark, rebuilt):
+    benchmark(assemble_polygons, rebuilt)
 
 
 @pytest.fixture(scope="module")

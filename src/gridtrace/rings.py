@@ -22,10 +22,12 @@ nothing else steps one element at a time.
 A ring set is a `RingSet` in GeoArrow's ragged layout: one (N, 2) buffer of
 int64 grid corners or float world positions, cut into closed rings by an
 offsets array. Hand-built rings as lists of coordinate pairs are accepted
-everywhere rings are consumed. The world set that `form_rings` returns also
-keeps, privately, the grid corners and the transform it came from, so that
-the writers can read a north-up set's tokens off the grid axes without
-sorting its positions; any other ring set, a copy of that one's buffers
+everywhere rings are consumed. The two sets that `form_rings` returns also
+keep private records of where they came from: the world set keeps the grid
+corners and the transform, so that the writers can read a north-up set's
+tokens off the grid axes without sorting its positions, and the grid set
+keeps the pixels that `detect` traced, so that assembly can read hole
+owners off pixel rows. Any other ring set, a copy of either one's buffers
 included, has no such record.
 
 Orientation falls out of the wiring: with y growing downward, outer rings
@@ -34,14 +36,21 @@ have negative shoelace area and hole rings positive. A north-up transform
 clockwise hole winding in world coordinates.
 
 Polygon assembly gives every hole its parent border in one scan, after
-Suzuki & Abe (CVGIP 30(1), 1985): the unit edge just left of a hole's
-top-left edge belongs to the exterior that owns it or to another of that
-exterior's holes. The vertical segments are the one table: each ring's
-segments are one run of it, found by one searchsorted of the offsets; a
-ring's area is the sum of x * dy over them (Green's theorem, so rings
-must be closed); and a unit edge keeps only its key and its segment's
-index. Sorting the keys once makes this O(P log P) in the vertical
-perimeter P. The polygons come out as a
+Suzuki & Abe (CVGIP 30(1), 1985): the vertical unit edge nearest left of
+a hole's top-left edge belongs to the exterior that owns it or to another
+of that exterior's holes. It has two paths, chosen by where the rings came
+from, never by an option or a size. Rings that `form_rings` walked from a
+`detect` arena are read off the pixels traced: a ring is a hole exactly
+when its first step is horizontal, and the marked run left of a hole's
+first corner starts at its owner's edge. That costs O(points) plus a table
+of raster rows x distinct owner columns. Every other ring set, hand-built
+or rebuilt from traced buffers, is checked and read off its vertical
+segments: each ring's segments are one run of them, found by one
+searchsorted of the offsets; a ring's area is the sum of x * dy over them
+(Green's theorem, so rings must be closed); and a unit edge keeps only its
+key and its segment's index. Sorting the keys once makes this
+O(P log P) in the vertical perimeter P. It is the only path that can
+assemble hand-built rings. The polygons come out as a
 `PolygonSet` in GeoArrow's polygon layout: one array of ring indices, each
 polygon's outer ring first and its holes after it, cut into polygons by an
 offsets array. One `np.lexsort` of the rings by owning exterior puts them
@@ -92,6 +101,9 @@ class RingSet(Sequence):
     # The grid corners and the transform that `form_rings` made the world
     # positions from, or None for any other ring set.
     _source: tuple[np.ndarray, AffineTransform] | None = None
+    # The pixels that `detect` traced, on the grid set that `form_rings`
+    # walked from its arena, or None for any other ring set.
+    _pixels: np.ndarray | None = None
 
     def __init__(self, coords: np.ndarray, offsets: np.ndarray):
         if coords.ndim != 2 or coords.shape[1] != 2:
@@ -121,6 +133,14 @@ class RingSet(Sequence):
                 raise ValueError(f"ring {k} has shape {a.shape}, not (k, 2)")
         offsets = np.cumsum([0] + [len(a) for a in arrays], dtype=np.int64)
         return cls(np.concatenate([np.empty((0, 2), dtype), *arrays]), offsets)
+
+    def _cut_alike(self, coords: np.ndarray) -> RingSet:
+        """A ring set of `coords`, a fresh (N, 2) int or float buffer, cut
+        by this set's offsets, which were checked when this set was built."""
+        rings = RingSet.__new__(RingSet)
+        coords.setflags(write=False)
+        rings.coords, rings.offsets = coords, self.offsets
+        return rings
 
     def __len__(self) -> int:
         return len(self.offsets) - 1
@@ -270,9 +290,11 @@ def form_rings(
     grid[:, 0] = xs[closed]
     grid[:, 1] = ys[closed]
     del closed
-    world = RingSet(np.column_stack(transform.apply(grid[:, 0], grid[:, 1])), offsets)
+    rings = RingSet(grid, offsets)
+    rings._pixels = d._pixels
+    world = rings._cut_alike(np.column_stack(transform.apply(grid[:, 0], grid[:, 1])))
     world._source = (grid, transform)
-    return RingSet(grid, offsets), world
+    return rings, world
 
 
 # Below this many walkers, `_segments` steps the rest one element at a time
@@ -429,9 +451,18 @@ def assemble_polygons(grid_rings) -> PolygonSet:
     positive-area rings attach as holes of the exterior of the region that
     surrounds them.
 
-    Everything after the step checks is read off one table, the rings'
-    vertical segments, with ring k's segments a run found by one
-    searchsorted of the ring offsets. By Green's theorem a closed ring's
+    The grid set that `form_rings` returns keeps the pixels `detect`
+    traced, and is assembled from them with no checks: a ring whose first
+    step is horizontal is a hole, and the marked run left of its first
+    corner (x, y) starts at column x0, where the downward unit edge over
+    pixel row y belongs to its owner. Only the downward steps in the
+    distinct x0 columns are cut into unit edges, filed in a table of raster
+    rows x those columns, so the cost is O(points) and at most that table.
+
+    Any other input, hand-built rings or a RingSet rebuilt from traced
+    buffers, is checked, and everything after the checks is read off one
+    table, the rings' vertical segments, with ring k's segments a run found
+    by one searchsorted of the ring offsets. By Green's theorem a closed ring's
     doubled shoelace area is twice the sum of x * dy over its vertical
     segments, taken as differences of one running sum. One scanline pass
     then finds every hole's owner. The segments are cut into unit edges,
@@ -449,21 +480,24 @@ def assemble_polygons(grid_rings) -> PolygonSet:
     which keeps their order. So P is at most 2N unranked and at most
     segments x distinct end rows ranked, however far apart the rows lie.
 
-    Returns a PolygonSet: exteriors in ring order, each followed by its
-    holes in ascending ring order. Bool and integer coordinates are read
-    as int64, and areas are summed exactly in int64 on corners moved by
-    the set's minimum, so a set far from the origin assembles as it would
-    near it. Raises, in this order: ValueError for float coordinates; then
-    for a ring of two or more points whose last corner is not its first,
-    naming the lowest such ring and both corners; then for a step that is
-    neither horizontal nor vertical, naming the lowest ring with one and
-    the corners of its first such step; then for a set of extent X by Y
-    (maximum less minimum on each axis) with X*Y >= 2**62: below that,
-    every doubled area and every unit-edge key (row * width + column,
-    width at most X + 1) fits in int64. Then TopologyError for the
-    lowest-index zero-area ring, which every ring of fewer than two points
-    is, and for the lowest-index hole that no exterior surrounds.
+    Both paths return the same PolygonSet: exteriors in ring order, each
+    followed by its holes in ascending ring order. On the general path,
+    bool and integer coordinates are read as int64, and areas are summed
+    exactly in int64 on corners moved by the set's minimum, so a set far
+    from the origin assembles as it would near it. It raises, in this
+    order: ValueError for float coordinates; then for a ring of two or
+    more points whose last corner is not its first, naming the lowest such
+    ring and both corners; then for a step that is neither horizontal nor
+    vertical, naming the lowest ring with one and the corners of its first
+    such step; then for a set of extent X by Y (maximum less minimum on
+    each axis) with X*Y >= 2**62: below that, every doubled area and every
+    unit-edge key (row * width + column, width at most X + 1) fits in
+    int64. Then TopologyError for the lowest-index zero-area ring, which
+    every ring of fewer than two points is, and for the lowest-index hole
+    that no exterior surrounds.
     """
+    if isinstance(grid_rings, RingSet) and grid_rings._pixels is not None:
+        return _assemble_traced(grid_rings, grid_rings._pixels)
     rings = RingSet.of(grid_rings, np.int64)
     coords, offsets, n = rings.coords, rings.offsets, len(rings)
     if coords.dtype.kind == "f":
@@ -537,11 +571,8 @@ def assemble_polygons(grid_rings) -> PolygonSet:
     found = (left >= 0) & (keys[at] // width == top_left // width) & (y1[prev] > y0[prev])
     # Index n stands for "no owner" and owns itself, like every exterior.
     owner = np.arange(n + 1)
-    owner[holes] = np.where(found, bounds.searchsorted(prev, side="right") - 1, n)
-    jumped = owner[owner]
-    while not np.array_equal(jumped, owner):
-        owner, jumped = jumped, jumped[jumped]
-
+    owner[holes] = np.where(found, np.repeat(np.arange(n), np.diff(bounds))[prev], n)
+    owner = _jump(owner)
     orphans = holes[owner[holes] == n]
     if len(orphans):
         hid = int(orphans[0])
@@ -549,8 +580,74 @@ def assemble_polygons(grid_rings) -> PolygonSet:
         raise TopologyError(
             f"hole ring {hid} at {start} is inside no exterior ring", ring_index=hid
         )
-    # Every exterior owns itself. Sorted by owner, exterior first, and then
-    # stably by ring index, polygon k is exterior k and then its holes.
-    members = np.lexsort((twice_area > 0, owner[:n]))
-    offsets = np.append((twice_area[members] < 0).nonzero()[0], n)
-    return PolygonSet(members, offsets)
+    return _group(owner[:n], twice_area > 0)
+
+
+def _assemble_traced(rings: RingSet, pixels: np.ndarray) -> PolygonSet:
+    """`assemble_polygons` of the rings that `form_rings` walked from the
+    `detect` arena of `pixels`, read off the pixels.
+
+    A ring starts at its leader, its first entry corner in scan order. A
+    hole's leader is a code-7 corner, which leaves sideways; an exterior's
+    is a code-8 corner or the second copy at a code-9 corner, which leave
+    downward. Down and left of a hole's leader (x, y), pixel (x - 1, y) is
+    marked. The downward unit edge at the start x0 of its marked run in
+    pixel row y bounds that run, so its ring is the hole's exterior or
+    another of that exterior's holes, whose leader comes earlier.
+    """
+    coords, offsets, n = rings.coords, rings.offsets, len(rings)
+    height, width = pixels.shape
+    x, y = coords.T
+    dy = y[1:] - y[:-1]
+    hole = dy[offsets[:-1]] == 0
+    holes = hole.nonzero()[0]
+    hx, hy = x[offsets[holes]], y[offsets[holes]]
+    # Run starts, marked pixels whose left neighbours are not, in the hole
+    # rows only.
+    rows, row = np.unique(hy, return_inverse=True)
+    bits = pixels[rows]
+    starts = bits.copy()
+    np.greater(bits[:, 1:], bits[:, :-1], out=starts[:, 1:])
+    runs = np.flatnonzero(starts)
+    del bits, starts
+    row *= width
+    x0 = runs[runs.searchsorted(row + hx - 1, side="right") - 1] - row
+    # The downward steps in the x0 columns, cut into unit edges and filed
+    # by pixel row and place among those columns: each cell holds its
+    # step's first point. Traced steps are horizontal or vertical. Each
+    # hole's cell is filled by the left edge of its run, so no other cell
+    # is read and the table needs no initial value.
+    chosen = np.zeros(width + 1, bool)
+    chosen[x0] = True
+    slot = np.cumsum(chosen) - 1
+    cols = slot[-1] + 1
+    dy[offsets[1:-1] - 1] = 0  # from a ring's last point to the next ring's first
+    step = (dy > 0).nonzero()[0]
+    step = step[chosen[x[step]]]
+    column, top, span = slot[x[step]], y[step], dy[step]
+    del dy
+    table = np.empty((height, cols), np.int32 if len(coords) < 2**31 else np.int64)
+    cell = np.repeat((top - (np.cumsum(span) - span)) * cols + column, span)
+    cell += np.arange(len(cell)) * cols
+    table.ravel()[cell] = np.repeat(step, span)
+    del step, column, top, cell
+    owner = np.arange(n)
+    owner[holes] = offsets.searchsorted(table[hy, slot[x0]], side="right") - 1
+    return _group(_jump(owner), hole)
+
+
+def _jump(owner: np.ndarray) -> np.ndarray:
+    """Follow `owner` links until every ring points at a ring that owns
+    itself, by pointer jumping: O(log d) passes for chains of length d."""
+    jumped = owner[owner]
+    while not np.array_equal(jumped, owner):
+        owner, jumped = jumped, jumped[jumped]
+    return owner
+
+
+def _group(owner: np.ndarray, hole: np.ndarray) -> PolygonSet:
+    """Polygons from each ring's owning exterior, which owns itself."""
+    # Sorted by owner, exterior first, and then stably by ring index,
+    # polygon k is exterior k and then its holes.
+    members = np.lexsort((hole, owner))
+    return PolygonSet(members, np.append((~hole[members]).nonzero()[0], len(hole)))

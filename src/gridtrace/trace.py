@@ -33,7 +33,10 @@ vertices (codes 7, 8 and the second copy of 9) are recorded as ring entry
 points; code 7 is kept because interior holes begin there.
 
 Vertices live in a flat arena of numpy int arrays in scan order; links
-are arena indices, checked once, when the `Delineation` is built.
+are arena indices, checked once, when the `Delineation` is built. The
+arena `detect` returns also keeps, privately, the pixels it traced, so
+that polygon assembly can read hole owners off pixel rows; an arena built
+any other way has no such record.
 """
 
 from __future__ import annotations
@@ -70,6 +73,10 @@ class Delineation:
     ys: np.ndarray
     next_ids: np.ndarray
     corners: np.ndarray
+
+    # The read-only (height, width) pixels that `detect` traced, or None for
+    # an arena built any other way. Not a field: equality and dump() ignore it.
+    _pixels = None
 
     def __post_init__(self):
         for name in ("xs", "ys", "next_ids", "corners"):
@@ -179,7 +186,9 @@ def detect(raster: BitRaster) -> Delineation:
     if raster.width == 0 or raster.height == 0:
         # No pixels, no vertices; the padded grid may still be huge.
         return Delineation(*(np.zeros(0, dtype=np.intp) for _ in range(4)))
-    return _wire(*_vertices(raster))
+    d = _wire(*_vertices(raster))
+    object.__setattr__(d, "_pixels", raster._bits)
+    return d
 
 
 def _wire(xs: np.ndarray, ys: np.ndarray, code: np.ndarray, second: np.ndarray) -> Delineation:

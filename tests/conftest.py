@@ -10,6 +10,7 @@ import pytest
 from gridtrace import (
     BitRaster,
     MaskError,
+    RingSet,
     RingTraversalError,
     assemble_polygons,
     boundary_edges,
@@ -143,10 +144,15 @@ def validity_problems(raster: BitRaster, d, grid) -> list[str]:
 
 
 def assembly_problems(raster: BitRaster, d, grid) -> list[str]:
-    """`assemble_polygons` must match its containment-search oracle."""
-    if list(assemble_polygons(grid)) != assemble_polygons_bruteforce(grid):
-        return ["assemble_polygons differs from the oracle"]
-    return []
+    """`assemble_polygons` must match its containment-search oracle, on the
+    traced grid rings, which it reads off the pixels, and on a copy of
+    their buffers, which it checks and reads off their vertical segments."""
+    oracle = assemble_polygons_bruteforce(grid)
+    problems = []
+    for path, rings in (("traced", grid), ("general", RingSet(grid.coords, grid.offsets))):
+        if list(assemble_polygons(rings)) != oracle:
+            problems.append(f"assemble_polygons on the {path} path differs from the oracle")
+    return problems
 
 
 def vertex_problems(raster: BitRaster, d, grid) -> list[str]:

@@ -15,6 +15,7 @@ import pytest
 from conftest import ACCEPTANCE_CHECKS, seconds_per_call
 from gridtrace import (
     BitRaster,
+    RingSet,
     assemble_polygons,
     bernoulli,
     check_shape,
@@ -204,8 +205,13 @@ def test_detect_is_output_sensitive():
     )
 
 
-def test_assembly_scales_near_linearly():
-    grids = {size: form_rings(detect(bernoulli(size, size, 0.5, 4242)))[0] for size in (500, 1000)}
+def assembly_scaling(path: str, rebuild) -> None:
+    """Report how assembly of rebuild(grid rings) grows from 500^2 to
+    1000^2 noise at p=0.5; `path` names the path of assembly it takes."""
+    grids = {
+        size: rebuild(form_rings(detect(bernoulli(size, size, 0.5, 4242)))[0])
+        for size in (500, 1000)
+    }
     # The sizes take turns over five rounds and the bound is on the median
     # of the rounds' ratios, so a stretch of host load that speeds or
     # slows a few calls of one size does not set the result. Assembly
@@ -219,11 +225,22 @@ def test_assembly_scales_near_linearly():
     ratio = median(large / small for small, large in zip(times[500], times[1000]))
     # 4x the pixels: ~4x for the scanline, 16x for a pairwise containment search.
     report(
-        "polygon assembly scaling 500^2 -> 1000^2 at p=0.5 at most 8x",
+        f"polygon assembly{path} scaling 500^2 -> 1000^2 at p=0.5 at most 8x",
         ratio <= 8,
         f"median ratio {ratio:.1f} over 5 rounds, {median(times[500]) * 1000:.0f}ms"
         f" -> {median(times[1000]) * 1000:.0f}ms",
     )
+
+
+def test_assembly_scales_near_linearly():
+    # The grid rings as traced, which assembly reads off the pixels.
+    assembly_scaling("", lambda grid: grid)
+
+
+def test_general_assembly_scales_near_linearly():
+    # A copy of the traced buffers, which assembly checks and reads off
+    # their vertical segments, as it does hand-built rings.
+    assembly_scaling(" of rebuilt rings", lambda grid: RingSet(grid.coords, grid.offsets))
 
 
 def test_text_parsers_are_no_slower_than_detect():

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -275,6 +276,47 @@ class TestDelineate:
         out, err = capsys.readouterr()
         assert out == ""
         assert err == "gridtrace: internal error: wiring is inconsistent\n"
+
+
+def text_of(length: int) -> str:
+    """`length` characters of one to three UTF-8 bytes each, ending in a
+    newline when `length` is even, so that slices split multi-byte runs."""
+    text = ("ab\u00e9\u6c34" * (length // 4 + 1))[:length]
+    return text[:-1] + "\n" if length % 2 == 0 else text
+
+
+SLICE_LENGTHS = [1, cli._SLICE - 1, cli._SLICE, cli._SLICE + 1, 2 * cli._SLICE + 2]
+
+
+class TestEmit:
+    """Text is written in slices of `cli._SLICE` characters, with the bytes
+    it would have as one write."""
+
+    @staticmethod
+    def expected(text: str) -> bytes:
+        return text.encode() + (b"" if text.endswith("\n") else b"\n")
+
+    @pytest.mark.parametrize("length", SLICE_LENGTHS)
+    def test_file_bytes(self, tmp_path, length):
+        out = tmp_path / "out"
+        text = text_of(length)
+        cli._emit(text, str(out))
+        assert out.read_bytes() == self.expected(text)
+
+    @pytest.mark.parametrize("length", SLICE_LENGTHS)
+    def test_stdout_bytes(self, capsysbinary, length):
+        text = text_of(length)
+        cli._emit(text, "-")
+        assert capsysbinary.readouterr().out == self.expected(text)
+
+    @pytest.mark.parametrize("length", SLICE_LENGTHS)
+    def test_no_write_is_longer_than_a_slice(self, length):
+        writes = []
+        stream = SimpleNamespace(write=writes.append)
+        text = text_of(length)
+        cli._write(stream, text, "\n")
+        assert max(map(len, writes)) <= cli._SLICE
+        assert "".join(writes) == text + "\n"
 
 
 class TestBench:

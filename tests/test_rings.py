@@ -22,6 +22,7 @@ from gridtrace import (
     form_rings,
     signed_area,
 )
+import gridtrace.rings as rings_module
 from gridtrace.rings import _SCALAR_BELOW, _rank, _segments
 from gridtrace.verify import assemble_polygons_bruteforce, unit_edges
 
@@ -737,8 +738,10 @@ class TestAssembleMatchesBruteforce:
             p = 0.1 + 0.8 * (i % 17) / 16
             w, h = (64, 64) if i < 17 else (int(v) for v in rng.integers(1, 65, 2))
             grid, _ = form_rings(detect(bernoulli(w, h, p, 2_000_000 + i)))
-            if list(assemble_polygons(grid)) != assemble_polygons_bruteforce(grid):
-                mismatches.append((w, h, p, i))
+            oracle = assemble_polygons_bruteforce(grid)
+            for rings in (grid, RingSet(grid.coords, grid.offsets)):
+                if list(assemble_polygons(rings)) != oracle:
+                    mismatches.append((w, h, p, i, rings is grid))
         assert mismatches == []
 
     def test_ring_starts_order_and_position_do_not_matter(self):
@@ -856,6 +859,70 @@ class TestAssembleMatchesBruteforce:
     def test_traced_nesting(self, rows):
         grid, _ = rings_of(rows)
         assert list(assemble_polygons(grid)) == assemble_polygons_bruteforce(grid)
+
+
+def same_polygons(a: PolygonSet, b: PolygonSet) -> bool:
+    return np.array_equal(a.rings, b.rings) and np.array_equal(a.offsets, b.offsets)
+
+
+class TestAssemblyPaths:
+    """The grid rings that `form_rings` walks from a `detect` arena are
+    assembled from the pixels traced; any other ring set, hand-built or
+    rebuilt from traced buffers, is checked and read off its segments."""
+
+    FRAME = ["111", "101", "111"]
+
+    def spy(self, monkeypatch) -> list:
+        calls = []
+        traced = rings_module._assemble_traced
+
+        def counted(*args):
+            calls.append(args)
+            return traced(*args)
+
+        monkeypatch.setattr(rings_module, "_assemble_traced", counted)
+        return calls
+
+    def test_only_traced_grid_rings_take_the_pixel_path(self, monkeypatch):
+        calls = self.spy(monkeypatch)
+        d = detect(BitRaster.from_strings(self.FRAME))
+        grid, _ = form_rings(d)
+        assert list(assemble_polygons(grid)) == [Polygon(0, [1])]
+        assert len(calls) == 1
+        rebuilt_arena, _ = form_rings(Delineation(d.xs, d.ys, d.next_ids, d.corners))
+        for rings in (RingSet(grid.coords, grid.offsets), list(grid), rebuilt_arena):
+            assert list(assemble_polygons(rings)) == [Polygon(0, [1])]
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "pack",
+        [lambda rings: [r.tolist() for r in rings], lambda rings: RingSet.of(rings, np.int64)],
+        ids=["hand-built", "rebuilt"],
+    )
+    @pytest.mark.parametrize(
+        "damage,error,message",
+        [
+            (lambda r: r[:1] + [r[1][:-1]], ValueError, "^ring 1 is not closed"),
+            (
+                lambda r: [[r[0][0], [1, 3], *r[0][2:]], r[1]],
+                ValueError,
+                r"^ring 0 steps diagonally from \(0, 0\) to \(1, 3\)$",
+            ),
+            (lambda r: [*r, [[0, 0], [0, 1], [0, 0]]], TopologyError, "^ring 2 has zero area$"),
+        ],
+        ids=["open", "diagonal", "zero-area"],
+    )
+    def test_traced_buffers_changed_by_hand_are_checked(self, pack, damage, error, message):
+        grid, _ = rings_of(self.FRAME)
+        rings = damage([r.tolist() for r in grid])
+        with pytest.raises(error, match=message):
+            assemble_polygons(pack([np.array(r) for r in rings]))
+
+    @pytest.mark.parametrize("p", [0.3, 0.5, 0.7])
+    def test_paths_agree_at_1000(self, p):
+        grid, _ = form_rings(detect(bernoulli(1000, 1000, p, 1)))
+        rebuilt = RingSet(grid.coords, grid.offsets)
+        assert same_polygons(assemble_polygons(grid), assemble_polygons(rebuilt))
 
 
 @pytest.mark.parametrize("seed,p", [(0, 0.5), (1, 0.2), (2, 0.8), (3, 0.5)])
